@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,12 +21,6 @@
 #include "workload/fio.h"
 
 namespace repro::bench {
-
-struct ClusterUnderTest {
-  std::unique_ptr<sim::Engine> engine;
-  std::unique_ptr<ebs::Cluster> cluster;
-  std::vector<std::uint64_t> vds;  ///< one per compute node
-};
 
 /// The benches' canonical scenario: small fabric, one VD per compute node,
 /// placeholder payloads (byte-level work is covered by the unit/property
@@ -47,23 +43,18 @@ inline ebs::ClusterParams default_params(ebs::StackKind stack,
   return ebs::params_from(default_scenario(stack, compute, storage, seed));
 }
 
-inline ClusterUnderTest make_cluster(ebs::ClusterParams params,
-                                     std::uint64_t vd_size = 8ull << 30) {
-  ClusterUnderTest c;
-  c.engine = std::make_unique<sim::Engine>();
-  c.cluster = std::make_unique<ebs::Cluster>(*c.engine, params);
-  for (int i = 0; i < c.cluster->num_compute(); ++i) {
-    c.vds.push_back(c.cluster->create_vd(vd_size));
-  }
-  return c;
+/// Builds a single-engine cluster from hand-tuned params, one `vd_size` VD
+/// per compute node.
+inline ebs::Scenario make_cluster(ebs::ClusterParams params,
+                                  std::uint64_t vd_size = 8ull << 30) {
+  ebs::ScenarioSpec spec;
+  spec.vd_size_bytes = vd_size;
+  return ebs::build_scenario(spec, std::move(params));
 }
 
 /// Builds a cluster straight from a declarative scenario.
-inline ClusterUnderTest make_cluster(const ebs::ScenarioSpec& spec,
-                                     obs::Obs* obs = nullptr) {
-  ebs::Scenario s = ebs::build_scenario(spec, obs);
-  return ClusterUnderTest{std::move(s.engine), std::move(s.cluster),
-                          std::move(s.vds)};
+inline ebs::Scenario make_cluster(const ebs::ScenarioSpec& spec) {
+  return ebs::build_scenario(spec, ebs::params_from(spec));
 }
 
 inline workload::SubmitFn submit_via(ebs::Cluster& cluster, int node) {
@@ -82,7 +73,7 @@ struct FioRunResult {
   TimeNs measured_ns = 0;
 };
 
-inline FioRunResult run_fio(ClusterUnderTest& c, workload::FioConfig cfg,
+inline FioRunResult run_fio(ebs::Scenario& c, workload::FioConfig cfg,
                             TimeNs warmup, TimeNs measure, int node = 0,
                             std::uint64_t seed = 7) {
   auto& eng = *c.engine;
@@ -103,6 +94,47 @@ inline FioRunResult run_fio(ClusterUnderTest& c, workload::FioConfig cfg,
   eng.run_until(eng.now() + ms(50));
   return res;
 }
+
+/// Parses a `--threads 1,2,8` list (consumes `list`, strtok-style).
+inline std::vector<int> parse_threads(char* list) {
+  std::vector<int> threads;
+  for (char* tok = std::strtok(list, ","); tok != nullptr;
+       tok = std::strtok(nullptr, ",")) {
+    threads.push_back(std::atoi(tok));
+  }
+  return threads;
+}
+
+/// The determinism gate of a thread sweep: the first run's fingerprint is
+/// the reference, and every later thread count must reproduce it.
+class FingerprintSweep {
+ public:
+  /// `label` prefixes the violation report (e.g. "diurnal_x10/on ").
+  explicit FingerprintSweep(std::string label = "")
+      : label_(std::move(label)) {}
+
+  /// False (after reporting on stderr) when `fingerprint` differs from the
+  /// sweep's first.
+  bool check(std::uint64_t fingerprint, int threads) {
+    if (!seen_) {
+      seen_ = true;
+      want_ = fingerprint;
+      return true;
+    }
+    if (fingerprint == want_) return true;
+    std::fprintf(stderr,
+                 "DETERMINISM VIOLATION: %sfingerprint %016llx at %d "
+                 "threads != %016llx\n",
+                 label_.c_str(), static_cast<unsigned long long>(fingerprint),
+                 threads, static_cast<unsigned long long>(want_));
+    return false;
+  }
+
+ private:
+  std::string label_;
+  bool seen_ = false;
+  std::uint64_t want_ = 0;
+};
 
 inline void print_header(const std::string& title, const std::string& paper) {
   std::printf("\n================================================================\n");

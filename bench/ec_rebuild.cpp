@@ -33,6 +33,7 @@
 
 #include "bench_json.h"
 #include "common/crc32.h"
+#include "common/fingerprint.h"
 #include "ebs/scenario.h"
 #include "ec/maintenance.h"
 #include "placement/policy.h"
@@ -59,11 +60,6 @@ struct ArmResult {
   double fg_p99_us = 0.0;
   std::uint64_t fingerprint = 0;
 };
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
 
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint64_t seed) {
   std::vector<std::uint8_t> v(n);
@@ -220,10 +216,11 @@ ArmResult run_arm(const ebs::ScenarioSpec& spec, double cap,
         std::min(lat.size() - 1, lat.size() * 99 / 100);
     r.fg_p99_us = static_cast<double>(lat[idx]) / 1000.0;
   }
-  std::uint64_t h = mix(eng.executed(), static_cast<std::uint64_t>(eng.now()));
-  h = mix(h, fg_completed);
-  h = mix(h, r.cells_rebuilt);
-  h = mix(h, cluster.compute(0).ec()->stats().degraded_reads);
+  std::uint64_t h =
+      fingerprint_mix(eng.executed(), static_cast<std::uint64_t>(eng.now()));
+  h = fingerprint_mix(h, fg_completed);
+  h = fingerprint_mix(h, r.cells_rebuilt);
+  h = fingerprint_mix(h, cluster.compute(0).ec()->stats().degraded_reads);
   r.fingerprint = h;
   return r;
 }

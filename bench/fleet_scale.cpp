@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
+#include "common/fingerprint.h"
 #include "ebs/cluster.h"
 #include "workload/fio.h"
 
@@ -52,11 +54,6 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   double wall_s = 0.0;
 };
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
 
 RunResult run_fleet(const Options& o, int threads) {
   sim::ShardedEngine se(o.shards, threads);
@@ -138,12 +135,13 @@ RunResult run_fleet(const Options& o, int threads) {
   r.executed = se.executed();
   r.end_time = se.now();
   r.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  std::uint64_t h = mix(r.executed, static_cast<std::uint64_t>(r.end_time));
+  std::uint64_t h =
+      fingerprint_mix(r.executed, static_cast<std::uint64_t>(r.end_time));
   for (const NodeLoad& nl : loads) {
     r.ios_completed += nl.completed;
-    h = mix(h, nl.completed);
+    h = fingerprint_mix(h, nl.completed);
   }
-  h = mix(h, cluster.network().drops_total().total());
+  h = fingerprint_mix(h, cluster.network().drops_total().total());
   r.fingerprint = h;
   return r;
 }
@@ -160,11 +158,7 @@ int main(int argc, char** argv) {
       o.threads = {1, 2};
       o.active = ms(2);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      o.threads.clear();
-      for (char* tok = std::strtok(argv[++i], ","); tok != nullptr;
-           tok = std::strtok(nullptr, ",")) {
-        o.threads.push_back(std::atoi(tok));
-      }
+      o.threads = repro::bench::parse_threads(argv[++i]);
     } else if (std::strcmp(argv[i], "--vds") == 0 && i + 1 < argc) {
       o.vds = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
@@ -189,23 +183,12 @@ int main(int argc, char** argv) {
 
   repro::bench::RunSummary summary("fleet_scale",
                                    "SIGCOMM'22 Luna/Solar, fleet scale");
+  repro::bench::FingerprintSweep sweep;
   double wall_1t = 0.0;
-  std::uint64_t want_fingerprint = 0;
-  bool first = true;
   for (int t : o.threads) {
     const RunResult r = run_fleet(o, t);
-    if (first) {
-      wall_1t = r.wall_s;
-      want_fingerprint = r.fingerprint;
-      first = false;
-    } else if (r.fingerprint != want_fingerprint) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: fingerprint %016llx at %d "
-                   "threads != %016llx\n",
-                   static_cast<unsigned long long>(r.fingerprint), t,
-                   static_cast<unsigned long long>(want_fingerprint));
-      return 1;
-    }
+    if (!sweep.check(r.fingerprint, t)) return 1;
+    if (wall_1t == 0.0) wall_1t = r.wall_s;  // the first run is the reference
     const double speedup = r.wall_s > 0.0 ? wall_1t / r.wall_s : 0.0;
     std::printf("%8d %14llu %12llu %10.2f %10.2f   %016llx\n", t,
                 static_cast<unsigned long long>(r.executed),

@@ -3,26 +3,17 @@
 // event engine, packet pool, fabric hot path, flow hashing, histogram
 // recording, P4 pipeline processing, and the block cipher.
 //
-// Two things distinguish this from a stock benchmark file:
-//  * A global allocation counter (operator new/delete overrides below)
-//    lets every benchmark report `allocs_per_event` / `allocs_per_op`.
-//    The engine and packet hot paths must report 0 in steady state.
-//  * `baseline::Engine` is a self-contained copy of the pre-timer-wheel
-//    scheduler (std::priority_queue + std::function + tombstone cancels),
-//    kept here so BM_Baseline* vs BM_Engine* is an apples-to-apples
-//    comparison inside one binary. The perf gate: the wheel must sustain
-//    at least 2x the baseline's events/sec on the churn workload.
+// A global allocation counter (operator new/delete overrides below) lets
+// every benchmark report `allocs_per_event` / `allocs_per_op`. The engine
+// and packet hot paths must report 0 in steady state.
 //
 // Results are printed to the console and mirrored to BENCH_core.json.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <functional>
 #include <new>
-#include <queue>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "common/crc32.h"
@@ -51,95 +42,29 @@ std::uint64_t alloc_count() {
 }
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line: inlining only one side of a pair
+// shows GCC `malloc` meeting `operator delete` (or `operator new` meeting
+// `free`), which -Wmismatched-new-delete rightly reports.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) {
+[[gnu::noinline]] void* operator new[](std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace repro {
-
-// ---------------------------------------------------------------------------
-// The pre-overhaul scheduler, verbatim in behavior: binary heap ordered by
-// (time, seq), std::function callbacks, cancellation via a tombstone set
-// consulted at pop time.
-// ---------------------------------------------------------------------------
-
-namespace baseline {
-
-using TimerId = std::uint64_t;
-
-class Engine {
- public:
-  TimeNs now() const { return now_; }
-
-  TimerId schedule_after(TimeNs delay, std::function<void()> fn) {
-    return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-  }
-
-  TimerId schedule_at(TimeNs t, std::function<void()> fn) {
-    if (t < now_) t = now_;
-    const TimerId id = next_id_++;
-    queue_.push(Event{t, next_seq_++, id, std::move(fn)});
-    return id;
-  }
-
-  bool cancel(TimerId id) {
-    if (id == 0 || id >= next_id_) return false;
-    return canceled_.insert(id).second;
-  }
-
-  bool step() {
-    while (!queue_.empty()) {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      if (auto it = canceled_.find(ev.id); it != canceled_.end()) {
-        canceled_.erase(it);
-        continue;
-      }
-      now_ = ev.time;
-      ev.fn();
-      return true;
-    }
-    return false;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
- private:
-  struct Event {
-    TimeNs time;
-    std::uint64_t seq;
-    TimerId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<TimerId> canceled_;
-  TimeNs now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  TimerId next_id_ = 1;
-};
-
-}  // namespace baseline
 
 namespace {
 
@@ -148,13 +73,12 @@ namespace {
 // batch of timers at scattered delays with a 24-byte capture (the typical
 // size of a transmit/retransmit closure), cancels a third of them (every
 // data packet arms a retransmission timer that an ACK then cancels), and
-// drains. Works identically on both engines.
+// drains.
 // ---------------------------------------------------------------------------
 
 constexpr int kChurnBatch = 1024;
 
-template <typename EngineT>
-void churn_round(EngineT& eng, std::vector<std::uint64_t>& ids,
+void churn_round(sim::Engine& eng, std::vector<std::uint64_t>& ids,
                  std::uint64_t& sink, std::uint64_t& lcg) {
   ids.clear();
   for (int i = 0; i < kChurnBatch; ++i) {
@@ -169,14 +93,13 @@ void churn_round(EngineT& eng, std::vector<std::uint64_t>& ids,
   eng.run();
 }
 
-template <typename EngineT>
-void engine_timer_churn(benchmark::State& state) {
-  EngineT eng;
+void BM_EngineTimerChurn(benchmark::State& state) {
+  sim::Engine eng;
   std::vector<std::uint64_t> ids;
   ids.reserve(kChurnBatch);
   std::uint64_t sink = 0;
   std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
-  // Warm the pools / heap vector so we measure steady state.
+  // Warm the pools so we measure steady state.
   for (int i = 0; i < 4; ++i) churn_round(eng, ids, sink, lcg);
 
   // Steady-state allocations are counted between the end of the first
@@ -197,22 +120,12 @@ void engine_timer_churn(benchmark::State& state) {
       rounds > 1 ? static_cast<double>(allocs_end - allocs_start) / steady
                  : 0.0);
 }
-
-void BM_EngineTimerChurn(benchmark::State& state) {
-  engine_timer_churn<sim::Engine>(state);
-}
 BENCHMARK(BM_EngineTimerChurn);
 
-void BM_BaselineEngineTimerChurn(benchmark::State& state) {
-  engine_timer_churn<baseline::Engine>(state);
-}
-BENCHMARK(BM_BaselineEngineTimerChurn);
-
-// Pure schedule+drain (no cancels), same shape the seed repo measured.
-template <typename EngineT>
-void engine_schedule_run(benchmark::State& state) {
+// Pure schedule+drain (no cancels).
+void BM_EngineScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
-    EngineT eng;
+    sim::Engine eng;
     int sink = 0;
     for (int i = 0; i < 1000; ++i) {
       eng.schedule_after(i, [&sink] { ++sink; });
@@ -222,16 +135,7 @@ void engine_schedule_run(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-
-void BM_EngineScheduleRun(benchmark::State& state) {
-  engine_schedule_run<sim::Engine>(state);
-}
 BENCHMARK(BM_EngineScheduleRun);
-
-void BM_BaselineEngineScheduleRun(benchmark::State& state) {
-  engine_schedule_run<baseline::Engine>(state);
-}
-BENCHMARK(BM_BaselineEngineScheduleRun);
 
 // ---------------------------------------------------------------------------
 // Packet pool: acquire, attach a pooled payload, release. Steady state must

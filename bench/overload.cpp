@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
+#include "common/fingerprint.h"
 #include "ebs/scenario.h"
 #include "workload/fio.h"
 #include "workload/trace.h"
@@ -57,11 +59,6 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   double goodput_per_sec = 0.0;
 };
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
 
 /// The built-in overloaded SOLAR fleet. Capacity is deliberately small
 /// (one DPU core, fat per-RPC cost) so 10x saturation stays cheap to
@@ -112,26 +109,7 @@ RunResult run_arm(const ebs::ScenarioSpec& base, Load load,
   // saturation" simulable in seconds (identical in both arms).
   p.dpu.cpu_cores = 1;
   p.solar.cpu_per_rpc = us(100);
-  ebs::Scenario s;
-  if (spec.shards > 1) {
-    s.sharded = std::make_unique<sim::ShardedEngine>(
-        spec.shards, threads > 0 ? threads : 1);
-    s.cluster = std::make_unique<ebs::Cluster>(*s.sharded, std::move(p));
-  } else {
-    s.engine = std::make_unique<sim::Engine>();
-    s.cluster = std::make_unique<ebs::Cluster>(*s.engine, std::move(p));
-  }
-  if (spec.vds.empty()) {
-    for (int i = 0; i < s.cluster->num_compute(); ++i) {
-      s.vds.push_back(s.cluster->create_vd(spec.vd_size_bytes));
-    }
-  }
-  for (const ebs::VdSpec& vd : spec.vds) {
-    const std::uint64_t id = s.cluster->create_vd(vd.size_bytes);
-    if (vd.has_qos) s.cluster->set_qos(id, vd.qos);
-    if (vd.has_slo) s.cluster->set_slo(id, vd.slo);
-    s.vds.push_back(id);
-  }
+  ebs::Scenario s = ebs::build_scenario(spec, std::move(p));
   ebs::Cluster& cluster = *s.cluster;
 
   const int ncompute = cluster.num_compute();
@@ -207,32 +185,25 @@ RunResult run_arm(const ebs::ScenarioSpec& base, Load load,
       if (nl.best_effort) nl.best_effort->start();
     });
   });
-  if (s.sharded) {
-    s.sharded->run_until(active);
-  } else {
-    s.engine->run_until(active);
-  }
+  s.run_until(active);
   for_each_gen([](NodeLoad& nl) {
     if (nl.replay) nl.replay->stop();
     if (nl.guaranteed) nl.guaranteed->stop();
     if (nl.best_effort) nl.best_effort->stop();
   });
-  if (s.sharded) {
-    s.sharded->run();
-  } else {
-    s.engine->run();
-  }
+  s.run();
 
   RunResult r;
-  r.executed = s.sharded ? s.sharded->executed() : s.engine->executed();
-  r.end_time = s.sharded ? s.sharded->now() : s.engine->now();
-  std::uint64_t h = mix(r.executed, static_cast<std::uint64_t>(r.end_time));
+  r.executed = s.executed();
+  r.end_time = s.now();
+  std::uint64_t h =
+      fingerprint_mix(r.executed, static_cast<std::uint64_t>(r.end_time));
   for (int i = 0; i < ncompute; ++i) {
     const NodeLoad& nl = loads[static_cast<std::size_t>(i)];
     r.issued += nl.issued;
     r.completed += nl.completed;
-    h = mix(h, nl.issued);
-    h = mix(h, nl.completed);
+    h = fingerprint_mix(h, nl.issued);
+    h = fingerprint_mix(h, nl.completed);
     const qos::NodeAdmission* adm = cluster.compute(i).admission();
     const qos::NodeAdmission::Stats& st = adm->stats();
     for (int c = 0; c < qos::kSloClasses; ++c) {
@@ -240,13 +211,13 @@ RunResult run_arm(const ebs::ScenarioSpec& base, Load load,
       r.rejected += st.rejected[c];
       r.slo_ok += st.slo_ok[c];
       r.slo_violated += st.slo_violated[c];
-      h = mix(h, st.admitted[c]);
-      h = mix(h, st.rejected[c]);
-      h = mix(h, st.slo_ok[c]);
-      h = mix(h, st.slo_violated[c]);
+      h = fingerprint_mix(h, st.admitted[c]);
+      h = fingerprint_mix(h, st.rejected[c]);
+      h = fingerprint_mix(h, st.slo_ok[c]);
+      h = fingerprint_mix(h, st.slo_violated[c]);
     }
   }
-  h = mix(h, cluster.network().drops_total().total());
+  h = fingerprint_mix(h, cluster.network().drops_total().total());
   r.fingerprint = h;
   r.goodput_per_sec =
       static_cast<double>(r.slo_ok) * 1e9 / static_cast<double>(active);
@@ -262,11 +233,7 @@ int main(int argc, char** argv) {
       o.smoke = true;
       o.threads = {1, 2};
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      o.threads.clear();
-      for (char* tok = std::strtok(argv[++i], ","); tok != nullptr;
-           tok = std::strtok(nullptr, ",")) {
-        o.threads.push_back(std::atoi(tok));
-      }
+      o.threads = bench::parse_threads(argv[++i]);
     } else if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
       o.scenario_file = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -341,22 +308,11 @@ int main(int argc, char** argv) {
     std::uint64_t issued[2] = {0, 0};
     for (int arm = 0; arm < 2; ++arm) {
       const bool early = arm == 1;
-      std::uint64_t want = 0;
-      bool first = true;
+      bench::FingerprintSweep sweep(std::string(sc.name) +
+                                    (early ? "/on " : "/off "));
       for (int t : o.threads) {
         const RunResult r = run_arm(spec, sc.load, trace, active, t, early);
-        if (first) {
-          want = r.fingerprint;
-          first = false;
-        } else if (r.fingerprint != want) {
-          std::fprintf(stderr,
-                       "DETERMINISM VIOLATION: %s/%s fingerprint %016llx at "
-                       "%d threads != %016llx\n",
-                       sc.name, early ? "on" : "off",
-                       static_cast<unsigned long long>(r.fingerprint), t,
-                       static_cast<unsigned long long>(want));
-          return 1;
-        }
+        if (!sweep.check(r.fingerprint, t)) return 1;
         goodput[arm] = r.goodput_per_sec;
         issued[arm] = r.issued;
         std::printf("%-16s %-4s %8d %10llu %10llu %10llu %10llu %12.0f   "

@@ -33,6 +33,7 @@
 #include "bench_json.h"
 #include "chaos/ec_oracle.h"
 #include "common/crc32.h"
+#include "common/fingerprint.h"
 #include "ebs/cluster.h"
 #include "ec/maintenance.h"
 #include "placement/policy.h"
@@ -45,11 +46,6 @@ using transport::IoRequest;
 using transport::IoResult;
 using transport::OpType;
 using transport::StorageStatus;
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
 
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint64_t seed) {
   std::vector<std::uint8_t> v(n);
@@ -248,11 +244,12 @@ DrainResult run_drain(const FleetShape& shape, const char* policy) {
       ++r.inversions;
     }
   }
-  std::uint64_t h = mix(eng.executed(), static_cast<std::uint64_t>(eng.now()));
+  std::uint64_t h =
+      fingerprint_mix(eng.executed(), static_cast<std::uint64_t>(eng.now()));
   for (const auto& rec : r.log) {
-    h = mix(h, rec.vd);
-    h = mix(h, rec.seg);
-    h = mix(h, static_cast<std::uint64_t>(rec.exposure));
+    h = fingerprint_mix(h, rec.vd);
+    h = fingerprint_mix(h, rec.seg);
+    h = fingerprint_mix(h, static_cast<std::uint64_t>(rec.exposure));
   }
   r.fingerprint = h;
   return r;

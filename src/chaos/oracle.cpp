@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/crc32.h"
-#include "net/network.h"
-#include "sim/engine.h"
 
 namespace repro::chaos {
 
@@ -156,27 +154,6 @@ void OracleBoard::check_outstanding(TimeNs now, TimeNs last_repair) {
       add_violation("exactly_once",
                     "io " + std::to_string(id) + " never completed", now);
     }
-  }
-}
-
-void OracleBoard::check_quiesce(const sim::Engine& engine,
-                                const net::Network& net, TimeNs last_repair) {
-  const TimeNs now = engine.now();
-  if (!outstanding_.empty()) {
-    check_outstanding(now, last_repair);
-    return;  // leaked packets/timers are implied by the stuck I/Os
-  }
-  if (engine.pending() > 0) {
-    add_violation("conservation",
-                  std::to_string(engine.pending()) +
-                      " timers still pending at quiesce",
-                  now);
-  }
-  if (net.packet_pool().outstanding() > 0) {
-    add_violation("conservation",
-                  std::to_string(net.packet_pool().outstanding()) +
-                      " pooled packets never returned",
-                  now);
   }
 }
 

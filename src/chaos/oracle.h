@@ -23,13 +23,6 @@
 #include "common/units.h"
 #include "transport/message.h"
 
-namespace repro::sim {
-class Engine;
-}
-namespace repro::net {
-class Network;
-}
-
 namespace repro::chaos {
 
 struct OracleConfig {
@@ -63,13 +56,9 @@ class OracleBoard {
   /// `t + recovery_slo` then count as SLO violations.
   void set_repair_time(TimeNs t) { repair_time_ = t; }
 
-  /// End-of-run checks; `last_repair` is Injector::last_repair_time().
-  void check_quiesce(const sim::Engine& engine, const net::Network& net,
-                     TimeNs last_repair);
-
-  /// The stuck-I/O half of `check_quiesce` alone. Sharded runs keep one
-  /// board per compute node and call this on each, then do the global
-  /// conservation checks (engine timers, pooled packets) once per fleet.
+  /// End-of-run stuck-I/O check; `last_repair` is
+  /// Injector::last_repair_time(). The fleet-global conservation checks
+  /// (engine timers, pooled packets) live in the harness, once per run.
   void check_outstanding(TimeNs now, TimeNs last_repair);
 
   /// Stable committed cells suitable for a read-back probe: untainted,

@@ -119,20 +119,16 @@ ComputeNode::ComputeNode(Cluster& cluster, int index, net::Nic& nic)
     if (p.placement.enabled) {
       // The maintenance plane reads the view (exposure-ordered drain under
       // the exposure policy) and reports health changes into it. Health
-      // writes mutate shared state, so sharded builds route them through
-      // the same global-barrier mechanism as segment remaps.
+      // writes mutate shared state, so they run with every shard quiescent.
       maintenance_->set_cluster_view(
           &cluster.view_,
           p.placement.policy == placement::PolicyKind::kExposureAware);
       placement::ClusterView* view = &cluster.view_;
+      net::Network* fabric = cluster.network_.get();
       maintenance_->set_health_listener(
-          [sharded, view](net::IpAddr server, bool alive) {
-            if (sharded != nullptr && sharded->shards() > 1) {
-              sharded->post_global(
-                  [view, server, alive] { view->set_health(server, alive); });
-              return;
-            }
-            view->set_health(server, alive);
+          [fabric, view](net::IpAddr server, bool alive) {
+            fabric->run_quiescent(
+                [view, server, alive] { view->set_health(server, alive); });
           });
     }
   }

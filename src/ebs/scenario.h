@@ -95,18 +95,30 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
 ClusterParams params_from(const ScenarioSpec& spec);
 
 /// A built scenario: engine + cluster + the VDs the spec declared (with QoS
-/// applied), ready for a workload. Specs with `shards > 1` build on a
-/// `ShardedEngine` instead (`engine` stays null, `sharded` is set) — drive
-/// the run via `sharded->run()` / `run_until()`.
+/// and SLOs applied), ready for a workload. Fleets with more than one shard
+/// build on a `ShardedEngine` (`engine` stays null, `sharded` is set); the
+/// run calls below branch on that once, so harnesses drive either kind of
+/// fleet through one body.
 struct Scenario {
   std::unique_ptr<sim::Engine> engine;
   std::unique_ptr<sim::ShardedEngine> sharded;
   std::unique_ptr<Cluster> cluster;
   std::vector<std::uint64_t> vds;
+
+  void run_until(TimeNs t);
+  void run();
+  TimeNs now() const;
+  std::size_t pending() const;
+  std::uint64_t executed() const;
+  /// Attaches `obs`'s sampler (and, when sharded, its per-shard tracer
+  /// rings) to whichever engine the fleet runs on.
+  void attach(obs::Obs& obs);
 };
 
-/// Builds the engine, cluster and VDs a spec describes. `obs` optional
-/// (null = dark).
-Scenario build_scenario(const ScenarioSpec& spec, obs::Obs* obs = nullptr);
+/// Builds the engine, cluster and VDs. `params` is normally
+/// `params_from(spec)`, adjusted by the caller (obs, capacity throttles,
+/// planted bugs); its `topo.shards` picks the engine, and the spec supplies
+/// the worker threads and the VD list.
+Scenario build_scenario(const ScenarioSpec& spec, ClusterParams params);
 
 }  // namespace repro::ebs

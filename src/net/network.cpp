@@ -291,18 +291,29 @@ void Network::link(Device& a, int pa, Device& b, int pb, BitsPerSec rate,
   }
 }
 
-void Network::set_link_alive(Device& dev, int port, bool alive) {
+void Network::run_quiescent(sim::Callback fn) {
   if (sharded_ != nullptr && sharded_->shards() > 1) {
-    // Link state is shared fabric state (both endpoints read `alive` on
-    // their own shards); mutate it only with every shard quiescent. The
-    // flip lands at the posting epoch's barrier — within one lookahead of
-    // the legacy instant — and detection/reconvergence keep their exact
-    // configured delays from there.
-    sharded_->post_global(
-        [this, d = &dev, port, alive] { set_link_alive_now(*d, port, alive); });
-    return;
+    sharded_->post_global(std::move(fn));
+  } else {
+    fn();
   }
-  set_link_alive_now(dev, port, alive);
+}
+
+void Network::run_quiescent_after(TimeNs delay, sim::Callback fn) {
+  if (sharded_ != nullptr && sharded_->shards() > 1) {
+    sharded_->post_global_at(sharded_->now() + delay, std::move(fn));
+  } else {
+    engine_->after(delay, std::move(fn));
+  }
+}
+
+void Network::set_link_alive(Device& dev, int port, bool alive) {
+  // Link state is shared fabric state (both endpoints read `alive` on their
+  // own shards). When sharded, the flip lands at the posting epoch's
+  // barrier — within one lookahead of the single-engine instant — and
+  // detection/reconvergence keep their exact configured delays from there.
+  run_quiescent(
+      [this, d = &dev, port, alive] { set_link_alive_now(*d, port, alive); });
 }
 
 void Network::set_link_alive_now(Device& dev, int port, bool alive) {
@@ -335,27 +346,16 @@ void Network::set_link_alive_now(Device& dev, int port, bool alive) {
     }
     schedule_reconvergence();
   };
-  if (sharded_ != nullptr && sharded_->shards() > 1) {
-    sharded_->post_global_at(sharded_->now() + params_.link_detect_delay,
-                             std::move(detect));
-  } else {
-    engine_->after(params_.link_detect_delay, std::move(detect));
-  }
+  run_quiescent_after(params_.link_detect_delay, std::move(detect));
 }
 
 void Network::schedule_reconvergence() {
   if (reconvergence_pending_) return;
   reconvergence_pending_ = true;
-  auto reconverge = [this] {
+  run_quiescent_after(params_.reconverge_delay, [this] {
     reconvergence_pending_ = false;
     compute_routes();
-  };
-  if (sharded_ != nullptr && sharded_->shards() > 1) {
-    sharded_->post_global_at(sharded_->now() + params_.reconverge_delay,
-                             std::move(reconverge));
-  } else {
-    engine_->after(params_.reconverge_delay, std::move(reconverge));
-  }
+  });
 }
 
 void Network::fail_link(Device& dev, int port) {

@@ -216,9 +216,6 @@ class Network {
   /// strictly shard-affine: a packet shell never crosses shards (only its
   /// contents do, see Device::start_tx), so each pool stays single-threaded.
   PacketPtr make_packet() { return state().pool->acquire(); }
-  /// Shard 0's pool — the whole pool in single-shard networks (every
-  /// existing call site). Use packets_outstanding() for fleet totals.
-  const PacketPool& packet_pool() const { return *shards_[0]->pool; }
   /// Packets currently in flight across all shards' pools.
   std::size_t packets_outstanding() const;
 
@@ -273,6 +270,14 @@ class Network {
   }
   /// Non-null when this fabric runs on a ShardedEngine.
   sim::ShardedEngine* sharded() { return sharded_; }
+  /// Runs `fn` with every shard quiescent — the only safe moment to mutate
+  /// state that shards share (link liveness, routes, placement health).
+  /// Multi-shard fabrics run it at the posting epoch's barrier; a single
+  /// engine runs it at once.
+  void run_quiescent(sim::Callback fn);
+  /// Delayed form: `fn` runs exactly `delay` from now with every shard
+  /// quiescent (an ordinary timer on a single engine).
+  void run_quiescent_after(TimeNs delay, sim::Callback fn);
   Rng& rng() { return state().rng; }
   const NetworkParams& params() const { return params_; }
   DropStats& drops() { return state().drops; }

@@ -99,7 +99,9 @@ TEST(KernelDispatch, AvailableTiersSelectable) {
   for_each_tier([](Tier t) {
     EXPECT_EQ(active().tier, t);
     // Scalar pins the whole data plane scalar, CLMUL only rides vector tiers.
-    if (t == Tier::kScalar) EXPECT_FALSE(active().crc_is_clmul);
+    if (t == Tier::kScalar) {
+      EXPECT_FALSE(active().crc_is_clmul);
+    }
   });
 }
 

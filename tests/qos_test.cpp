@@ -19,6 +19,7 @@
 #include "chaos/fault_plan.h"
 #include "chaos/harness.h"
 #include "common/crc32.h"
+#include "common/fingerprint.h"
 #include "ebs/cluster.h"
 #include "ebs/scenario.h"
 #include "ec/maintenance.h"
@@ -176,11 +177,6 @@ struct MiniResult {
   std::uint64_t fingerprint = 0;
 };
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h * 0xFF51AFD7ED558CCDull;
-}
-
 MiniResult run_mini_overload(int threads, bool early_reject) {
   ebs::ClusterParams p;
   p.topo.compute_servers = 2;
@@ -246,18 +242,19 @@ MiniResult run_mini_overload(int threads, bool early_reject) {
   se.run();
 
   MiniResult r;
-  std::uint64_t h = mix(se.executed(), static_cast<std::uint64_t>(se.now()));
+  std::uint64_t h =
+      fingerprint_mix(se.executed(), static_cast<std::uint64_t>(se.now()));
   for (int i = 0; i < ncompute; ++i) {
     r.issued += loads[static_cast<std::size_t>(i)].issued;
-    h = mix(h, loads[static_cast<std::size_t>(i)].issued);
+    h = fingerprint_mix(h, loads[static_cast<std::size_t>(i)].issued);
     const NodeAdmission* adm = cluster.compute(i).admission();
     const NodeAdmission::Stats& st = adm->stats();
     for (int c = 0; c < kSloClasses; ++c) {
       r.rejected += st.rejected[c];
-      h = mix(h, st.admitted[c]);
-      h = mix(h, st.rejected[c]);
-      h = mix(h, st.slo_ok[c]);
-      h = mix(h, st.slo_violated[c]);
+      h = fingerprint_mix(h, st.admitted[c]);
+      h = fingerprint_mix(h, st.rejected[c]);
+      h = fingerprint_mix(h, st.slo_ok[c]);
+      h = fingerprint_mix(h, st.slo_violated[c]);
     }
   }
   r.fingerprint = h;

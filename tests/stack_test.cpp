@@ -225,9 +225,11 @@ HeteroSig run_hetero(std::uint64_t seed, obs::Obs* obs = nullptr) {
   spec.compute_stacks = {StackKind::kLuna, StackKind::kSolar};
   spec.seed = seed;
   spec.vd_size_bytes = 1ull << 30;
-  Scenario s = build_scenario(spec, obs);
+  ClusterParams params = params_from(spec);
+  params.obs = obs;
+  Scenario s = build_scenario(spec, std::move(params));
   auto& eng = *s.engine;
-  if (obs != nullptr) obs->attach(eng);
+  if (obs != nullptr) s.attach(*obs);
   EXPECT_EQ(s.cluster->compute(0).stack_kind(), StackKind::kLuna);
   EXPECT_EQ(s.cluster->compute(1).stack_kind(), StackKind::kSolar);
 
