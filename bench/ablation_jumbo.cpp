@@ -26,7 +26,7 @@ Row run(std::uint32_t block_bytes) {
   params.solar.block_size = block_bytes;
   params.topo.queue_capacity = 96 * 1024;  // shallow switch buffers
   auto c = bench::make_cluster(params);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
 
   // Prime, then incast-read 128KB I/Os (split across all storage nodes).
   workload::FioConfig cfg;
@@ -38,7 +38,7 @@ Row run(std::uint32_t block_bytes) {
   eng.at(0, [&] { job.start(); });
   eng.run_until(ms(25));
   job.metrics().clear();
-  const auto drops0 = c.cluster->network().drops().queue_full;
+  const auto drops0 = c.cluster->network().drops_total().queue_full;
   const auto retx0 = c.cluster->compute(0).solar()->stats().retransmits;
   const auto pkts0 = c.cluster->compute(0).solar()->stats().data_pkts_tx;
   eng.run_until(ms(100));
@@ -48,7 +48,7 @@ Row run(std::uint32_t block_bytes) {
   Row r;
   r.p50_us = to_us(job.metrics().total().percentile(0.5));
   r.p99_us = to_us(job.metrics().total().percentile(0.99));
-  r.drops = c.cluster->network().drops().queue_full - drops0;
+  r.drops = c.cluster->network().drops_total().queue_full - drops0;
   const auto retx =
       c.cluster->compute(0).solar()->stats().retransmits - retx0;
   const auto pkts =

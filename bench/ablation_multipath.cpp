@@ -25,7 +25,7 @@ Row run(int paths) {
   auto params = bench::default_params(StackKind::kSolar, 1, 4, 31 + paths);
   params.solar.path.paths_per_peer = paths;
   auto c = bench::make_cluster(params);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
   Row row;
 
   // Healthy-phase latency.

@@ -43,7 +43,7 @@ inline ebs::ClusterParams default_params(ebs::StackKind stack,
   return ebs::params_from(default_scenario(stack, compute, storage, seed));
 }
 
-/// Builds a single-engine cluster from hand-tuned params, one `vd_size` VD
+/// Builds a one-shard cluster from hand-tuned params, one `vd_size` VD
 /// per compute node.
 inline ebs::Scenario make_cluster(ebs::ClusterParams params,
                                   std::uint64_t vd_size = 8ull << 30) {
@@ -76,7 +76,7 @@ struct FioRunResult {
 inline FioRunResult run_fio(ebs::Scenario& c, workload::FioConfig cfg,
                             TimeNs warmup, TimeNs measure, int node = 0,
                             std::uint64_t seed = 7) {
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
   cfg.vd_id = c.vds[static_cast<std::size_t>(node)];
   workload::FioJob job(eng, submit_via(*c.cluster, node), cfg, Rng(seed));
   eng.at(eng.now(), [&] { job.start(); });

@@ -24,7 +24,7 @@ struct Breakdown {
 Breakdown measure(StackKind stack, transport::OpType op, int ios) {
   auto params = bench::default_params(stack, /*compute=*/2, /*storage=*/8);
   auto c = bench::make_cluster(params);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
   Breakdown out;
   Rng rng(5);
 
@@ -157,7 +157,7 @@ void export_sample_trace() {
                                       /*storage=*/8);
   params.obs = &obs;
   auto c = bench::make_cluster(params);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
   obs.attach(eng);
 
   const std::uint64_t vd = c.vds[0];

@@ -89,7 +89,7 @@ StepResult run_step(const ebs::ScenarioSpec& base, int solar_nodes) {
     spec.compute_stacks[static_cast<std::size_t>(i)] = StackKind::kSolar;
   }
   auto c = bench::make_cluster(spec);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
 
   std::vector<std::unique_ptr<workload::FioJob>> jobs;
   for (int i = 0; i < n; ++i) {
@@ -185,8 +185,7 @@ int run_rollout(const std::string& scenario_file) {
                 100.0 * (1.0 - last.mean_latency_us / first_lat),
                 last.agg_kiops / first_kiops);
   }
-  summary.write();
-  return 0;
+  return summary.write() ? 0 : 1;
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ double measure_hang_fraction(const char* tier) {
   auto params = bench::default_params(StackKind::kLuna, 4, 4, 77);
   params.topo.servers_per_rack = 2;
   auto c = bench::make_cluster(params);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
   std::vector<std::unique_ptr<workload::PoissonLoad>> jobs;
   for (int node = 0; node < c.cluster->num_compute(); ++node) {
     workload::PoissonConfig cfg;

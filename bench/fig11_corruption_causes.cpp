@@ -34,7 +34,7 @@ CampaignResult run_fpga_campaign(double pre_crc, double post_crc,
   auto params = bench::default_params(StackKind::kSolar, 1, 2, 9001);
   params.block_server.store_payload = true;
   auto c = bench::make_cluster(params, 64ull << 20);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
   Rng rng(5);
 
   chaos::FaultPlan plan;

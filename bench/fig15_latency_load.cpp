@@ -23,7 +23,7 @@ P5099 run_case(StackKind stack, bool heavy) {
   auto params = bench::default_params(stack, /*compute=*/3, /*storage=*/8);
   params.on_dpu = true;
   auto c = bench::make_cluster(params);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
 
   std::vector<std::unique_ptr<workload::FioJob>> background;
   if (heavy) {

@@ -185,17 +185,17 @@ RunResult run_arm(const ebs::ScenarioSpec& base, Load load,
       if (nl.best_effort) nl.best_effort->start();
     });
   });
-  s.run_until(active);
+  s.engine->run_until(active);
   for_each_gen([](NodeLoad& nl) {
     if (nl.replay) nl.replay->stop();
     if (nl.guaranteed) nl.guaranteed->stop();
     if (nl.best_effort) nl.best_effort->stop();
   });
-  s.run();
+  s.engine->run();
 
   RunResult r;
-  r.executed = s.executed();
-  r.end_time = s.now();
+  r.executed = s.engine->executed();
+  r.end_time = s.engine->now();
   std::uint64_t h =
       fingerprint_mix(r.executed, static_cast<std::uint64_t>(r.end_time));
   for (int i = 0; i < ncompute; ++i) {
@@ -345,14 +345,18 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(issued[1]));
       ok = false;
     }
-    const double factor =
-        goodput[0] > 0.0 ? static_cast<double>(issued[0]) * 1e9 /
-                               static_cast<double>(active) / goodput[0]
-                         : 0.0;
-    std::printf("%s: goodput on/off = %.0f/%.0f per sec (x%.2f), offered "
-                "%.1fx the OFF goodput\n",
-                sc.name, goodput[1], goodput[0],
-                goodput[0] > 0.0 ? goodput[1] / goodput[0] : 0.0, factor);
+    const double offered =
+        static_cast<double>(issued[0]) * 1e9 / static_cast<double>(active);
+    if (goodput[0] > 0.0) {
+      std::printf("%s: goodput on/off = %.0f/%.0f per sec (x%.2f), offered "
+                  "%.1fx the OFF goodput\n",
+                  sc.name, goodput[1], goodput[0], goodput[1] / goodput[0],
+                  offered / goodput[0]);
+    } else {
+      std::printf("%s: goodput on/off = %.0f/0 per sec; OFF completed no "
+                  "I/O within its SLO (offered %.0f I/O/s), so no ratio\n",
+                  sc.name, goodput[1], offered);
+    }
     if (goodput[1] <= goodput[0]) {
       std::fprintf(stderr,
                    "GOODPUT REGRESSION in %s: early rejection ON (%.0f/s) "

@@ -103,7 +103,7 @@ std::uint64_t run_scenario(StackKind stack, const Scenario& scenario) {
   params.topo.spines_per_pod = 2;
   params.topo.core_switches = 2;
   auto c = bench::make_cluster(params);
-  auto& eng = *c.engine;
+  auto& eng = c.cluster->engine();
 
   // Paper's generated traffic: blocks 4-32KB, R:W = 1:4. Open loop at a
   // moderate per-server rate: hang *rates* are what Table 2 counts, and

@@ -173,13 +173,14 @@ RunReport run_chaos(const HarnessConfig& cfg) {
     params.solar.path.fail_threshold = 1 << 30;  // the planted bug
   }
   ebs::Scenario s = ebs::build_scenario(spec, std::move(params));
-  if (cfg.obs != nullptr) s.attach(*cfg.obs);
+  sim::ShardedEngine& eng = *s.engine;
+  if (cfg.obs != nullptr) cfg.obs->attach(eng);
   ebs::Cluster& cluster = *s.cluster;
   const int nodes = cluster.num_compute();
-  const bool sharded = s.sharded != nullptr;
+  const bool sharded = eng.shards() > 1;
 
-  // A single engine runs the fleet as one group: one shared oracle board,
-  // one start event, read-back through node 0. Sharded runs make each
+  // One shard runs the fleet as one group: one shared oracle board, one
+  // start event, read-back through node 0. Several shards make each
   // compute node its own group, so its board and start event stay on the
   // node's home shard (each node's VD is driven only by that node, so
   // boards never cross shards).
@@ -247,11 +248,11 @@ RunReport run_chaos(const HarnessConfig& cfg) {
       }
     });
   }
-  s.run_until(cfg.warmup);
+  eng.run_until(cfg.warmup);
 
-  const TimeNs armed_at = s.now();
+  const TimeNs armed_at = eng.now();
   injector.arm(cfg.plan);
-  s.run_until(s.now() + cfg.active);
+  eng.run_until(eng.now() + cfg.active);
 
   {
     sim::ShardScope scope(cluster.compute_shard(0));
@@ -265,45 +266,45 @@ RunReport run_chaos(const HarnessConfig& cfg) {
   // moment behind us but faults not yet repaired, every committed cell
   // must still be recoverable — unless more than m fragments are down.
   if (spec.ec.enabled) {
-    audit_ec(cluster, storage_down_at(cluster, cfg.plan, armed_at, s.now()),
-             s.now(), boards[0]);
+    audit_ec(cluster, storage_down_at(cluster, cfg.plan, armed_at, eng.now()),
+             eng.now(), boards[0]);
   }
   injector.repair_all();
   for (auto& b : boards) b.set_repair_time(injector.last_repair_time());
 
   // Drain to quiesce in slices so we notice the fleet going idle early.
-  const TimeNs deadline = s.now() + cfg.drain_limit;
-  while (s.pending() > 0 && s.now() < deadline) {
-    s.run_until(std::min(deadline, s.now() + cfg.drain_slice));
+  const TimeNs deadline = eng.now() + cfg.drain_limit;
+  while (eng.pending() > 0 && eng.now() < deadline) {
+    eng.run_until(std::min(deadline, eng.now() + cfg.drain_slice));
   }
 
   // Post-repair: once the maintenance agents have drained, the fleet must
   // be whole again (every fragment rebuilt or back online).
   if (spec.ec.enabled && maintenance_idle(cluster)) {
-    audit_ec(cluster, {}, s.now(), boards[0]);
+    audit_ec(cluster, {}, eng.now(), boards[0]);
   }
 
   std::uint64_t outstanding = 0;
   for (auto& b : boards) {
-    b.check_outstanding(s.now(), injector.last_repair_time());
+    b.check_outstanding(eng.now(), injector.last_repair_time());
     outstanding += b.outstanding();
   }
   // Conservation is a fleet-global property, reported once on the first
   // board; leaked packets/timers are implied by stuck I/Os, so it is
   // checked only when none are outstanding.
   if (outstanding == 0) {
-    if (s.pending() > 0) {
+    if (eng.pending() > 0) {
       boards[0].add_violation(
           "conservation",
-          std::to_string(s.pending()) + " timers still pending at quiesce",
-          s.now());
+          std::to_string(eng.pending()) + " timers still pending at quiesce",
+          eng.now());
     }
     const std::size_t leaked = cluster.network().packets_outstanding();
     if (leaked > 0) {
       boards[0].add_violation(
           "conservation",
           std::to_string(leaked) + " pooled packets never returned",
-          s.now());
+          eng.now());
     }
   }
 
@@ -328,7 +329,7 @@ RunReport run_chaos(const HarnessConfig& cfg) {
             });
       }
     }
-    s.run();
+    eng.run();
   }
 
   RunReport report;
@@ -342,8 +343,8 @@ RunReport run_chaos(const HarnessConfig& cfg) {
   }
   report.faults_applied = static_cast<std::uint64_t>(injector.applied());
   report.faults_reverted = static_cast<std::uint64_t>(injector.reverted());
-  report.executed = s.executed();
-  report.end_time = s.now();
+  report.executed = eng.executed();
+  report.end_time = eng.now();
   return report;
 }
 

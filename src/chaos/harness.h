@@ -82,10 +82,10 @@ struct HarnessConfig {
   OracleConfig oracle;
   int readback_samples = 48;
 
-  /// Fabric partition for the sharded engine; 1 = the classic single-engine
-  /// harness, bit-identical to before the knob existed. With shards > 1 the
-  /// run executes on a ShardedEngine with one oracle board per compute node
-  /// (node-affine, so oracle bookkeeping stays on the node's home shard).
+  /// Fabric partition for the engine; 1 = one shard, run on its engine
+  /// directly with one oracle board for the fleet. With shards > 1 the run
+  /// steps in epochs with one oracle board per compute node (node-affine,
+  /// so oracle bookkeeping stays on the node's home shard).
   int shards = 1;
   /// Worker threads for the sharded run. Purely a speed knob: the report
   /// signature is a function of the config (including `shards`), never of

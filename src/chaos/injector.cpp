@@ -50,7 +50,6 @@ TopologyShape Injector::shape() const {
 }
 
 int Injector::home_shard(const FaultTarget& t) const {
-  if (cluster_.sharded() == nullptr) return 0;
   if (const net::Device* dev = resolve_device(t)) return dev->shard();
   switch (t.kind) {
     case TargetKind::kStorageSsd:

@@ -74,7 +74,7 @@ ComputeNode::ComputeNode(Cluster& cluster, int index, net::Nic& nic)
     // it is only wired on single-shard builds (a barrier per doorbell would
     // serialize the simulation; cross-shard reads would break determinism).
     if (p.placement.enabled && p.placement.cluster_admission &&
-        (cluster.sharded_ == nullptr || cluster.sharded_->shards() <= 1)) {
+        cluster.network_->sharded().shards() == 1) {
       admission_->set_cluster_gate(&cluster.view_,
                                    p.placement.cluster_inflight_limit);
     }
@@ -89,18 +89,19 @@ ComputeNode::ComputeNode(Cluster& cluster, int index, net::Nic& nic)
     };
     ec_ = std::make_unique<ec::EcClient>(cluster.engine(), cluster.segments_,
                                          p.ec, inner);
-    // Rebuild remap mutates the shared SegmentTable: under a sharded build
+    // Rebuild remap mutates the shared SegmentTable: with several shards
     // it must run at an epoch barrier with every shard quiescent (same
     // contract as net::Network::set_link_alive); the continuation is then
-    // rescheduled onto this node's home engine.
-    sim::ShardedEngine* sharded = cluster.sharded_;
+    // rescheduled onto this node's home engine. One shard remaps and
+    // continues inline, with no extra event.
+    sim::ShardedEngine* sharded = &cluster.network_->sharded();
     sa::SegmentTable* segments = &cluster.segments_;
     sim::Engine* home = &cluster.engine();
     ec::MaintenanceAgent::RemapFn remap =
         [sharded, segments, home](std::uint64_t vd, std::uint64_t seg,
                                   sa::SegmentLocation loc,
                                   std::function<void()> done) {
-          if (sharded != nullptr && sharded->shards() > 1) {
+          if (sharded->shards() > 1) {
             sharded->post_global(
                 [segments, home, sharded, vd, seg, loc,
                  done = std::move(done)]() mutable {
@@ -127,7 +128,7 @@ ComputeNode::ComputeNode(Cluster& cluster, int index, net::Nic& nic)
       net::Network* fabric = cluster.network_.get();
       maintenance_->set_health_listener(
           [fabric, view](net::IpAddr server, bool alive) {
-            fabric->run_quiescent(
+            fabric->sharded().post_global(
                 [view, server, alive] { view->set_health(server, alive); });
           });
     }
@@ -249,19 +250,17 @@ void StorageNode::register_observables(obs::Obs& obs) {
 }
 
 Cluster::Cluster(sim::Engine& engine, ClusterParams params)
-    : engine_(&engine),
-      params_(std::move(params)),
-      rng_(params_.seed),
-      cipher_(params_.dpu.cipher_key) {
-  network_ = std::make_unique<net::Network>(engine, net::NetworkParams{},
-                                            rng_.next());
-  init();
+    : Cluster(std::make_unique<sim::ShardedEngine>(engine), std::move(params)) {
+}
+
+Cluster::Cluster(std::unique_ptr<sim::ShardedEngine> adopted,
+                 ClusterParams params)
+    : Cluster(*adopted, std::move(params)) {
+  adopted_ = std::move(adopted);
 }
 
 Cluster::Cluster(sim::ShardedEngine& se, ClusterParams params)
-    : engine_(&se.shard(0)),
-      sharded_(&se),
-      params_(std::move(params)),
+    : params_(std::move(params)),
       rng_(params_.seed),
       cipher_(params_.dpu.cipher_key) {
   // The engine's shard count is the single source of truth; the topology
@@ -272,15 +271,6 @@ Cluster::Cluster(sim::ShardedEngine& se, ClusterParams params)
   }
   network_ = std::make_unique<net::Network>(se, net::NetworkParams{},
                                             rng_.next());
-  init();
-  // Conservative lookahead: the fastest cross-shard wire bounds how far a
-  // shard may run ahead before a neighbour could affect it.
-  if (network_->min_cross_shard_prop() > 0) {
-    se.set_lookahead(network_->min_cross_shard_prop());
-  }
-}
-
-void Cluster::init() {
   if (params_.obs != nullptr) network_->set_obs(params_.obs);
   clos_ = net::build_clos(*network_, params_.topo);
   // Rack membership is static topology: feed the view once, at build time
@@ -313,6 +303,11 @@ void Cluster::init() {
     }
   }
   if (params_.obs != nullptr) register_observables();
+  // Conservative lookahead: the fastest cross-shard wire bounds how far a
+  // shard may run ahead before a neighbour could affect it.
+  if (network_->min_cross_shard_prop() > 0) {
+    se.set_lookahead(network_->min_cross_shard_prop());
+  }
 }
 
 void Cluster::reset_warmup() { warmup_registry_.reset_all(); }

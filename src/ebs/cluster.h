@@ -150,9 +150,10 @@ class StorageNode {
 
 class Cluster {
  public:
+  /// Rack-scale build: adopts `engine` as the fleet's one shard.
   Cluster(sim::Engine& engine, ClusterParams params);
-  /// Sharded build: the fabric is partitioned into `se.shards()` node-affine
-  /// shards (`params.topo.shards` is overwritten to match), every node is
+  /// The fabric is partitioned into `se.shards()` node-affine shards
+  /// (`params.topo.shards` is overwritten to match), every node is
   /// constructed under its home shard's scope, and the engine lookahead is
   /// set to the minimum cross-shard link propagation delay.
   Cluster(sim::ShardedEngine& se, ClusterParams params);
@@ -177,25 +178,18 @@ class Cluster {
   /// registry and its histograms are never disturbed.
   void reset_warmup();
 
-  /// The calling shard's engine. Under a sharded build this routes through
-  /// the thread's shard context (exactly like `net::Network::engine()`), so
-  /// node components built under `ShardScope(s)` bind shard s's engine and
-  /// events armed from shard s's worker stay on shard s.
-  sim::Engine& engine() {
-    return sharded_ != nullptr ? sharded_->shard(sim::current_shard())
-                               : *engine_;
-  }
-  /// Non-null when built on a ShardedEngine.
-  sim::ShardedEngine* sharded() { return sharded_; }
-  /// Global simulation time (shard-safe: barrier time when sharded).
-  TimeNs now() const {
-    return sharded_ != nullptr ? sharded_->now() : engine_->now();
-  }
-  /// Home shard of compute node `i` (0 for single-shard builds).
+  /// The calling shard's engine. This routes through the thread's shard
+  /// context (exactly like `net::Network::engine()`), so node components
+  /// built under `ShardScope(s)` bind shard s's engine and events armed
+  /// from shard s's worker stay on shard s.
+  sim::Engine& engine() { return network_->engine(); }
+  /// Global simulation time (shard-safe: barrier time with several shards).
+  TimeNs now() const { return network_->sharded().now(); }
+  /// Home shard of compute node `i` (0 for one-shard builds).
   int compute_shard(int i) {
     return compute_nodes_[static_cast<std::size_t>(i)]->nic().shard();
   }
-  /// Home shard of storage node `i` (0 for single-shard builds).
+  /// Home shard of storage node `i` (0 for one-shard builds).
   int storage_shard(int i) {
     return storage_nodes_[static_cast<std::size_t>(i)]->nic().shard();
   }
@@ -215,15 +209,14 @@ class Cluster {
   friend class ComputeNode;
   friend class StorageNode;
 
+  Cluster(std::unique_ptr<sim::ShardedEngine> adopted, ClusterParams params);
   /// Names every trace process and registers switch/node observables.
   /// Called once from the ctor when `params.obs` is set.
   void register_observables();
-  /// Shared ctor tail: builds the fabric and the nodes (each under its home
-  /// shard's scope when sharded).
-  void init();
 
-  sim::Engine* engine_;
-  sim::ShardedEngine* sharded_ = nullptr;
+  // The one-shard wrapper, when the cluster adopted a plain Engine. The
+  // cluster reaches its engine through `network_->sharded()` either way.
+  std::unique_ptr<sim::ShardedEngine> adopted_;
   ClusterParams params_;
   Rng rng_;
   std::unique_ptr<net::Network> network_;

@@ -1,11 +1,11 @@
 #include "ebs/scenario.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "obs/json.h"
 #include "obs/json_reader.h"
-#include "obs/obs.h"
 
 namespace repro::ebs {
 
@@ -330,52 +330,11 @@ ClusterParams params_from(const ScenarioSpec& spec) {
   return p;
 }
 
-void Scenario::run_until(TimeNs t) {
-  if (sharded) {
-    sharded->run_until(t);
-  } else {
-    engine->run_until(t);
-  }
-}
-
-void Scenario::run() {
-  if (sharded) {
-    sharded->run();
-  } else {
-    engine->run();
-  }
-}
-
-TimeNs Scenario::now() const {
-  return sharded ? sharded->now() : engine->now();
-}
-
-std::size_t Scenario::pending() const {
-  return sharded ? sharded->pending() : engine->pending();
-}
-
-std::uint64_t Scenario::executed() const {
-  return sharded ? sharded->executed() : engine->executed();
-}
-
-void Scenario::attach(obs::Obs& obs) {
-  if (sharded) {
-    obs.attach(*sharded);
-  } else {
-    obs.attach(*engine);
-  }
-}
-
 Scenario build_scenario(const ScenarioSpec& spec, ClusterParams params) {
   Scenario s;
-  if (params.topo.shards > 1) {
-    s.sharded = std::make_unique<sim::ShardedEngine>(
-        params.topo.shards, spec.threads > 0 ? spec.threads : 1);
-    s.cluster = std::make_unique<Cluster>(*s.sharded, std::move(params));
-  } else {
-    s.engine = std::make_unique<sim::Engine>();
-    s.cluster = std::make_unique<Cluster>(*s.engine, std::move(params));
-  }
+  s.engine = std::make_unique<sim::ShardedEngine>(
+      std::max(params.topo.shards, 1), std::max(spec.threads, 1));
+  s.cluster = std::make_unique<Cluster>(*s.engine, std::move(params));
   if (spec.vds.empty()) {
     for (int i = 0; i < s.cluster->num_compute(); ++i) {
       s.vds.push_back(s.cluster->create_vd(spec.vd_size_bytes));

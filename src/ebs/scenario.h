@@ -49,7 +49,7 @@ struct ScenarioSpec {
   int spines_per_pod = 2;
   int core_switches = 2;
   /// Fabric partition for the sharded engine: racks map to `shards`
-  /// contiguous node-affine shards. 1 = classic single-engine build.
+  /// contiguous node-affine shards. 1 = one shard, run without epochs.
   int shards = 1;
   /// Worker threads driving the shards (only meaningful with shards > 1).
   /// Results are bit-identical for any value; this is purely a speed knob.
@@ -95,29 +95,18 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
 ClusterParams params_from(const ScenarioSpec& spec);
 
 /// A built scenario: engine + cluster + the VDs the spec declared (with QoS
-/// and SLOs applied), ready for a workload. Fleets with more than one shard
-/// build on a `ShardedEngine` (`engine` stays null, `sharded` is set); the
-/// run calls below branch on that once, so harnesses drive either kind of
-/// fleet through one body.
+/// and SLOs applied), ready for a workload. Harnesses drive any fleet
+/// through `engine` and attach obs with `obs.attach(*engine)`; a one-shard
+/// fleet runs on its engine directly, with no epochs.
 struct Scenario {
-  std::unique_ptr<sim::Engine> engine;
-  std::unique_ptr<sim::ShardedEngine> sharded;
+  std::unique_ptr<sim::ShardedEngine> engine;
   std::unique_ptr<Cluster> cluster;
   std::vector<std::uint64_t> vds;
-
-  void run_until(TimeNs t);
-  void run();
-  TimeNs now() const;
-  std::size_t pending() const;
-  std::uint64_t executed() const;
-  /// Attaches `obs`'s sampler (and, when sharded, its per-shard tracer
-  /// rings) to whichever engine the fleet runs on.
-  void attach(obs::Obs& obs);
 };
 
 /// Builds the engine, cluster and VDs. `params` is normally
 /// `params_from(spec)`, adjusted by the caller (obs, capacity throttles,
-/// planted bugs); its `topo.shards` picks the engine, and the spec supplies
+/// planted bugs); its `topo.shards` sizes the engine, and the spec supplies
 /// the worker threads and the VD list.
 Scenario build_scenario(const ScenarioSpec& spec, ClusterParams params);
 

@@ -130,7 +130,7 @@ void Device::start_tx(int port_idx) {
       // are re-shelled from the destination shard's pool on arrival. The
       // propagation delay is >= the lookahead by construction, which is
       // what makes the conservative epoch schedule correct.
-      net_->sharded()->post(
+      net_->sharded().post(
           peer->shard_, net_->engine().now() + port_ref.prop_delay_,
           [this, link, peer, peer_port, val = std::move(*pkt)]() mutable {
             if (link == nullptr || !link->alive) {
@@ -211,18 +211,22 @@ void Device::handle_arrival(PacketPtr pkt, int in_port) {
 
 Network::Network(sim::Engine& engine, NetworkParams params,
                  std::uint64_t seed)
-    : engine_(&engine), params_(params) {
-  shards_.push_back(std::make_unique<ShardState>(Rng(seed), 0));
+    : Network(std::make_unique<sim::ShardedEngine>(engine), params, seed) {}
+
+Network::Network(std::unique_ptr<sim::ShardedEngine> adopted,
+                 NetworkParams params, std::uint64_t seed)
+    : Network(*adopted, params, seed) {
+  adopted_ = std::move(adopted);
 }
 
 Network::Network(sim::ShardedEngine& se, NetworkParams params,
                  std::uint64_t seed)
-    : engine_(&se.shard(0)), sharded_(&se), params_(params) {
-  const int num_shards = se.shards();
+    : engine_(&se), params_(params) {
+  const int num_shards = engine_->shards();
   shards_.reserve(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    // Shard 0 reproduces the legacy stream exactly; the rest are forked
-    // with a distinctive stream id so no two shards share a sequence.
+    // Forked with a distinctive stream id so no two shards share a
+    // sequence.
     const Rng r = s == 0 ? Rng(seed) : Rng(seed).fork(0xFAB5'0000ull + s);
     shards_.push_back(std::make_unique<ShardState>(r, s));
   }
@@ -291,28 +295,12 @@ void Network::link(Device& a, int pa, Device& b, int pb, BitsPerSec rate,
   }
 }
 
-void Network::run_quiescent(sim::Callback fn) {
-  if (sharded_ != nullptr && sharded_->shards() > 1) {
-    sharded_->post_global(std::move(fn));
-  } else {
-    fn();
-  }
-}
-
-void Network::run_quiescent_after(TimeNs delay, sim::Callback fn) {
-  if (sharded_ != nullptr && sharded_->shards() > 1) {
-    sharded_->post_global_at(sharded_->now() + delay, std::move(fn));
-  } else {
-    engine_->after(delay, std::move(fn));
-  }
-}
-
 void Network::set_link_alive(Device& dev, int port, bool alive) {
   // Link state is shared fabric state (both endpoints read `alive` on their
-  // own shards). When sharded, the flip lands at the posting epoch's
-  // barrier — within one lookahead of the single-engine instant — and
+  // own shards). With several shards the flip lands at the posting epoch's
+  // barrier — within one lookahead of the one-shard instant — and
   // detection/reconvergence keep their exact configured delays from there.
-  run_quiescent(
+  engine_->post_global(
       [this, d = &dev, port, alive] { set_link_alive_now(*d, port, alive); });
 }
 
@@ -346,13 +334,14 @@ void Network::set_link_alive_now(Device& dev, int port, bool alive) {
     }
     schedule_reconvergence();
   };
-  run_quiescent_after(params_.link_detect_delay, std::move(detect));
+  engine_->post_global_at(engine_->now() + params_.link_detect_delay,
+                         std::move(detect));
 }
 
 void Network::schedule_reconvergence() {
   if (reconvergence_pending_) return;
   reconvergence_pending_ = true;
-  run_quiescent_after(params_.reconverge_delay, [this] {
+  engine_->post_global_at(engine_->now() + params_.reconverge_delay, [this] {
     reconvergence_pending_ = false;
     compute_routes();
   });

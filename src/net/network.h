@@ -125,7 +125,7 @@ class Device {
   DeviceId id() const { return id_; }
   const std::string& name() const { return name_; }
   bool is_host() const { return is_host_; }
-  /// Home shard (0 in single-shard networks). Fixed at construction: a
+  /// Home shard (0 in one-shard networks). Fixed at construction: a
   /// device's events always execute on its home shard's engine.
   int shard() const { return shard_; }
   int num_ports() const { return static_cast<int>(ports_.size()); }
@@ -193,11 +193,11 @@ class Network {
     std::uint64_t reordered = 0;
   };
 
+  /// Rack-scale fabric: adopts `engine` as the fleet's one shard.
   Network(sim::Engine& engine, NetworkParams params, std::uint64_t seed);
-  /// Sharded fabric: one ShardState (rng, packet pool, drop counters,
-  /// packet-id space) per shard of `se`. Shard 0's streams are seeded
-  /// exactly like the single-engine constructor, so a 1-shard sharded
-  /// network is bit-identical to a legacy one.
+  /// One ShardState (rng, packet pool, drop counters, packet-id space) per
+  /// shard of `se`. Shard 0's streams are seeded from `seed` itself, so a
+  /// fleet's shard 0 draws what a one-shard fabric would.
   Network(sim::ShardedEngine& se, NetworkParams params, std::uint64_t seed);
   ~Network();
 
@@ -260,32 +260,20 @@ class Network {
   void set_obs(obs::Obs* obs) { obs_ = obs; }
   obs::Obs* obs() const { return obs_; }
 
-  /// The calling shard's engine (the single engine in legacy networks).
-  /// Inside a sharded run this is the engine of the shard whose events the
-  /// current thread is executing — i.e. always the home engine of the
-  /// device whose handler is on the stack.
-  sim::Engine& engine() {
-    return sharded_ != nullptr ? sharded_->shard(sim::current_shard())
-                               : *engine_;
-  }
-  /// Non-null when this fabric runs on a ShardedEngine.
-  sim::ShardedEngine* sharded() { return sharded_; }
-  /// Runs `fn` with every shard quiescent — the only safe moment to mutate
-  /// state that shards share (link liveness, routes, placement health).
-  /// Multi-shard fabrics run it at the posting epoch's barrier; a single
-  /// engine runs it at once.
-  void run_quiescent(sim::Callback fn);
-  /// Delayed form: `fn` runs exactly `delay` from now with every shard
-  /// quiescent (an ordinary timer on a single engine).
-  void run_quiescent_after(TimeNs delay, sim::Callback fn);
+  /// The calling shard's engine: inside a run, the engine of the shard
+  /// whose events the current thread is executing — i.e. always the home
+  /// engine of the device whose handler is on the stack.
+  sim::Engine& engine() { return engine_->shard(sim::current_shard()); }
+  /// The fleet's engine. Shared-fabric mutations (link liveness, routes,
+  /// placement health) go through its `post_global[_at]`, which runs them
+  /// with every shard quiescent.
+  sim::ShardedEngine& sharded() { return *engine_; }
   Rng& rng() { return state().rng; }
   const NetworkParams& params() const { return params_; }
+  /// The calling shard's counters, which the fabric's devices increment.
+  /// Readers want the fleet-wide *_total() forms.
   DropStats& drops() { return state().drops; }
-  /// Shard 0's counters (the whole story in single-shard networks); use
-  /// the *_total() variants for fleet-wide numbers.
-  const DropStats& drops() const { return shards_[0]->drops; }
   WireFaultStats& wire_faults() { return state().wire_faults; }
-  const WireFaultStats& wire_faults() const { return shards_[0]->wire_faults; }
   DropStats drops_total() const;
   WireFaultStats wire_faults_total() const;
   std::uint64_t next_packet_id() {
@@ -308,9 +296,8 @@ class Network {
   // Per-shard mutable fabric state. Everything a packet's journey touches
   // on its home shard lives here, so concurrent shards never share a
   // cache line, an RNG stream, a counter or a pool. Shard 0 is seeded
-  // exactly like the legacy single-engine network; shard s > 0 gets a
-  // forked stream. Packet ids are (shard << 48) | counter, with shard 0
-  // untagged so single-shard ids match the legacy sequence bit-for-bit.
+  // from the network's seed; shard s > 0 gets a forked stream. Packet ids
+  // are (shard << 48) | counter, with shard 0 untagged.
   struct alignas(64) ShardState {
     Rng rng;
     // Owned via the retire() protocol: packets captured in still-pending
@@ -329,18 +316,20 @@ class Network {
                             : static_cast<std::uint64_t>(shard) << 48) {}
   };
 
+  Network(std::unique_ptr<sim::ShardedEngine> adopted, NetworkParams params,
+          std::uint64_t seed);
+
   ShardState& state() {
-    return *shards_[sharded_ != nullptr
-                        ? static_cast<std::size_t>(sim::current_shard())
-                        : 0];
+    return *shards_[static_cast<std::size_t>(sim::current_shard())];
   }
 
   void set_link_alive(Device& dev, int port, bool alive);
   void set_link_alive_now(Device& dev, int port, bool alive);
   void schedule_reconvergence();
 
-  sim::Engine* engine_;
-  sim::ShardedEngine* sharded_ = nullptr;
+  // The one-shard wrapper, when the network adopted a plain Engine.
+  std::unique_ptr<sim::ShardedEngine> adopted_;
+  sim::ShardedEngine* engine_;
   NetworkParams params_;
   obs::Obs* obs_ = nullptr;
   std::vector<std::unique_ptr<ShardState>> shards_;

@@ -58,7 +58,7 @@ class Obs {
     sampler_.attach(engine, cfg_.sample_interval);
   }
 
-  /// Sharded variant: single-shard engines use the legacy probe hook (bit
+  /// Fleet variant: one shard samples through its engine's probe (bit
   /// identical to attach(Engine&)); multi-shard engines sample on the
   /// epoch-barrier hook and split the tracer into per-shard rings.
   void attach(sim::ShardedEngine& se) {

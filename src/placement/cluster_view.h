@@ -7,8 +7,8 @@
 //  * rack membership and per-rack fragment counts are written only at
 //    cluster-construction / create_vd time, before any worker thread runs;
 //  * health updates arrive through the cluster's health listener, which
-//    routes them over `ShardedEngine::post_global` when shards > 1 — the
-//    same every-shard-quiescent barrier the rebuild RemapFn uses;
+//    routes them over `ShardedEngine::post_global` — the same
+//    every-shard-quiescent barrier the rebuild RemapFn uses;
 //  * the cluster inflight counter is mutated per-I/O and is therefore only
 //    wired on single-shard builds (see ebs::ComputeNode).
 // Readers (maintenance exposure ordering, admission) thus never race a

@@ -1,12 +1,11 @@
 // Thread-local shard context for sharded (parallel) simulation.
 //
 // Every simulation thread carries the id of the shard whose events it is
-// currently executing. Single-threaded runs never touch it and always see
-// shard 0, so legacy code paths are unchanged. The context is what lets
-// shard-agnostic call sites (`Network::engine()`, `Network::rng()`,
-// `Network::make_packet()`, the obs counter scratch slot, the tracer ring)
-// route to per-shard state without threading a shard id through every
-// signature in the simulator.
+// currently executing. One-shard runs never touch it and always see
+// shard 0. The context is what lets shard-agnostic call sites
+// (`Network::engine()`, `Network::rng()`, `Network::make_packet()`, the obs
+// counter scratch slot, the tracer ring) route to per-shard state without
+// threading a shard id through every signature in the simulator.
 //
 // The context is deliberately header-only (inline thread_local): it must be
 // readable from every layer — common, sim, net, obs — without creating a
@@ -17,7 +16,7 @@ namespace repro::sim {
 
 namespace detail {
 /// Shard whose events the current thread is executing. 0 outside any
-/// sharded run (the legacy single-engine world is "shard 0 everywhere").
+/// multi-shard run (a one-shard fleet is "shard 0 everywhere").
 inline thread_local int tls_shard = 0;
 /// True while the current thread is inside a ShardedEngine parallel phase
 /// (i.e. cross-shard effects must go through mailboxes, not direct calls).

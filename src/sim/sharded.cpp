@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace repro::sim {
@@ -10,15 +12,19 @@ ShardedEngine::ShardedEngine(int shards, int threads, TimeNs lookahead)
     : threads_(threads < 1 ? 1 : threads), lookahead_(lookahead) {
   assert(shards >= 1);
   assert(lookahead_ > 0);
-  engines_.reserve(static_cast<std::size_t>(shards));
+  owned_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    engines_.push_back(std::make_unique<Engine>());
+    owned_.push_back(std::make_unique<Engine>());
+    engines_.push_back(owned_.back().get());
   }
   outboxes_.resize(static_cast<std::size_t>(shards));
   for (auto& ob : outboxes_) {
     ob.to.resize(static_cast<std::size_t>(shards));
   }
 }
+
+ShardedEngine::ShardedEngine(Engine& only)
+    : engines_{&only}, lookahead_(us(1)) {}
 
 ShardedEngine::~ShardedEngine() = default;
 
@@ -30,13 +36,13 @@ void ShardedEngine::set_lookahead(TimeNs l) {
 
 std::uint64_t ShardedEngine::executed() const {
   std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->executed();
+  for (const Engine* e : engines_) total += e->executed();
   return total;
 }
 
 std::size_t ShardedEngine::pending() const {
   std::size_t total = globals_.size();
-  for (const auto& e : engines_) total += e->pending();
+  for (const Engine* e : engines_) total += e->pending();
   for (const auto& ob : outboxes_) {
     total += ob.globals.size();
     for (const auto& row : ob.to) total += row.size();
@@ -49,9 +55,17 @@ void ShardedEngine::post(int dst, TimeNs t, Callback fn) {
   if (in_parallel_phase()) {
     // The conservative contract: a message generated inside an epoch may
     // not be needed before the epoch's end (its delay is >= the lookahead).
-    assert(t >= epoch_end_ &&
-           "cross-shard message inside the lookahead window — lookahead is "
-           "larger than the minimum cross-shard delay");
+    // Checked in every build: a late message would silently reorder events.
+    if (t < epoch_end_) {
+      std::fprintf(stderr,
+                   "ShardedEngine::post: cross-shard message at t=%lld ns is "
+                   "inside the lookahead window ending at %lld ns (lookahead "
+                   "%lld ns is larger than the minimum cross-shard delay)\n",
+                   static_cast<long long>(t),
+                   static_cast<long long>(epoch_end_),
+                   static_cast<long long>(lookahead_));
+      std::abort();
+    }
     outboxes_[static_cast<std::size_t>(current_shard())]
         .to[static_cast<std::size_t>(dst)]
         .push_back({t, std::move(fn)});
@@ -72,10 +86,14 @@ void ShardedEngine::post_global(Callback fn) {
     globals_.push({now_, next_global_seq_++, std::move(fn)});
     return;
   }
-  fn();  // idle: every shard is quiescent already
+  fn();  // idle, or the one shard's own event: nothing else is running
 }
 
 void ShardedEngine::post_global_at(TimeNs t, Callback fn) {
+  if (one_shard()) {
+    engines_[0]->schedule_at(t, std::move(fn));
+    return;
+  }
   if (t < now_) t = now_;
   if (in_parallel_phase()) {
     outboxes_[static_cast<std::size_t>(current_shard())].globals.push_back(
@@ -87,7 +105,7 @@ void ShardedEngine::post_global_at(TimeNs t, Callback fn) {
 
 TimeNs ShardedEngine::lower_bound() const {
   TimeNs lb = globals_.empty() ? TimeNs{-1} : globals_.top().t;
-  for (const auto& e : engines_) {
+  for (const Engine* e : engines_) {
     const TimeNs elb = e->next_lower_bound();
     if (elb >= 0 && (lb < 0 || elb < lb)) lb = elb;
   }
@@ -166,7 +184,7 @@ void ShardedEngine::run_epoch(Team& team, int nthreads, TimeNs end) {
   team.gate->arrive_and_wait();  // all shards reached `end`
   // Between barriers the coordinator owns every engine (mailbox delivery,
   // global ops); re-bind for the debug-mode ownership checks.
-  for (auto& e : engines_) e->bind_owner();
+  for (Engine* e : engines_) e->bind_owner();
 }
 
 void ShardedEngine::deliver_mailboxes(TimeNs barrier_time) {
@@ -264,8 +282,20 @@ void ShardedEngine::run_loop(TimeNs target, bool drain) {
   in_run_ = false;
 }
 
-void ShardedEngine::run() { run_loop(0, /*drain=*/true); }
+void ShardedEngine::run() {
+  if (one_shard()) {
+    engines_[0]->run();
+    return;
+  }
+  run_loop(0, /*drain=*/true);
+}
 
-void ShardedEngine::run_until(TimeNs t) { run_loop(t, /*drain=*/false); }
+void ShardedEngine::run_until(TimeNs t) {
+  if (one_shard()) {
+    engines_[0]->run_until(t);
+    return;
+  }
+  run_loop(t, /*drain=*/false);
+}
 
 }  // namespace repro::sim

@@ -19,6 +19,13 @@
 // s % T), so the same seed produces bit-identical metrics, traces and chaos
 // signatures at 1, 2 or N threads. tests/determinism_test.cpp enforces this
 // with a thread-count sweep.
+//
+// One shard is the rack-scale fleet, and it has no epochs: `post` and
+// `post_global_at` schedule straight onto the shard's engine, `post_global`
+// runs at once (nothing else can be running), `now()` is that engine's
+// clock, and `run`/`run_until` drive the engine directly. So a plain
+// `Engine` adopted as the one shard runs exactly as if driven by hand, and
+// every layer above holds this one engine type whatever the fleet's size.
 #pragma once
 
 #include <atomic>
@@ -41,13 +48,16 @@ class ShardedEngine {
  public:
   /// Called once per epoch barrier with the (aligned) epoch-end instant,
   /// on the coordinating thread while all workers are quiescent. The
-  /// observability sampler rides this hook in sharded runs.
+  /// observability sampler rides this hook in multi-shard runs; one shard
+  /// has no barriers, so there it never fires.
   using BarrierHook = SmallFn<void(TimeNs), 48>;
 
   /// `threads` > shards is clamped; `threads` <= 1 runs every epoch on the
   /// calling thread (same epoch structure, so same results).
   explicit ShardedEngine(int shards, int threads = 1,
                          TimeNs lookahead = us(1));
+  /// Adopts `only` (not owned) as the single shard.
+  explicit ShardedEngine(Engine& only);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
   ~ShardedEngine();
@@ -58,7 +68,7 @@ class ShardedEngine {
 
   /// Must be called before any events run. The caller (the cluster builder)
   /// is responsible for `l` being <= the minimum cross-shard propagation
-  /// delay; `post` asserts it in debug builds.
+  /// delay; `post` aborts on a message that breaks it.
   void set_lookahead(TimeNs l);
 
   Engine& shard(int s) { return *engines_[static_cast<std::size_t>(s)]; }
@@ -69,8 +79,8 @@ class ShardedEngine {
   Engine& home() { return shard(current_shard()); }
 
   /// Aligned fleet clock: every shard's engine sits at this instant between
-  /// runs and at epoch barriers.
-  TimeNs now() const { return now_; }
+  /// runs and at epoch barriers. One shard: that engine's clock.
+  TimeNs now() const { return one_shard() ? engines_[0]->now() : now_; }
   std::uint64_t executed() const;
   std::size_t pending() const;
 
@@ -78,29 +88,33 @@ class ShardedEngine {
   /// epoch this buffers into the per-(source, destination) mailbox and is
   /// delivered at the barrier in (t, source shard, sequence) order; the
   /// conservative contract requires t >= the current epoch's end, i.e. the
-  /// underlying delay must be >= the lookahead. Outside a run it schedules
-  /// directly.
+  /// underlying delay must be >= the lookahead; a message that breaks it
+  /// aborts the process (in every build type). Outside a run, and always
+  /// with one shard, it schedules directly.
   void post(int dst, TimeNs t, Callback fn);
 
   /// Runs `fn` on the coordinating thread with every shard quiescent: at
   /// the next epoch barrier when posted from inside an epoch, immediately
-  /// when posted while idle. For shared-fabric mutations (link state,
-  /// routing tables) that individual shards must never touch mid-epoch.
+  /// when posted while idle or with one shard. For shared-fabric mutations
+  /// (link state, routing tables) that individual shards must never touch
+  /// mid-epoch.
   void post_global(Callback fn);
 
   /// Timed variant: `fn` runs at the first epoch barrier with time >= `t`,
   /// and the epoch layout is clamped so that a barrier lands exactly at `t`
-  /// (control operations keep their exact timestamps).
+  /// (control operations keep their exact timestamps). One shard: an
+  /// ordinary event at `t` on its engine.
   void post_global_at(TimeNs t, Callback fn);
 
   /// Installs the (single) barrier hook. Pass an empty hook to clear.
   void set_barrier_hook(BarrierHook hook) { hook_ = std::move(hook); }
 
   /// Runs all shards until their queues, the cross-shard mailboxes and the
-  /// global-operation queue drain.
+  /// global-operation queue drain. One shard: `Engine::run`, no epochs.
   void run();
 
   /// Runs everything with timestamp <= `t`, then aligns all clocks to `t`.
+  /// One shard: `Engine::run_until`, no epochs.
   void run_until(TimeNs t);
 
  private:
@@ -147,8 +161,10 @@ class ShardedEngine {
   void spawn_team(Team& team, int nthreads);
   void shutdown_team(Team& team);
   TimeNs lower_bound() const;
+  bool one_shard() const { return engines_.size() == 1; }
 
-  std::vector<std::unique_ptr<Engine>> engines_;
+  std::vector<std::unique_ptr<Engine>> owned_;  // empty when adopted
+  std::vector<Engine*> engines_;
   std::vector<Outbox> outboxes_;
   std::priority_queue<GlobalOp, std::vector<GlobalOp>, GlobalOpLater>
       globals_;

@@ -149,13 +149,14 @@ TEST(ChaosProtocol, WireFaultMachineryActuallyFires) {
   inj.repair_all();
   eng.run_until(eng.now() + seconds(10));
 
-  const net::Network::WireFaultStats& wire = cluster.network().wire_faults();
+  const net::Network::WireFaultStats wire =
+      cluster.network().wire_faults_total();
   EXPECT_GT(wire.corrupted, 0u);
   EXPECT_GT(wire.duplicated, 0u);
   EXPECT_GT(wire.reordered, 0u);
   // Every corrupted frame that reached a NIC was FCS-dropped, never
   // delivered: the drop counter moves in lockstep with delivery attempts.
-  EXPECT_GT(cluster.network().drops().corrupt_fcs, 0u);
+  EXPECT_GT(cluster.network().drops_total().corrupt_fcs, 0u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "chaos/fault_plan.h"
 #include "chaos/harness.h"
 #include "ebs/cluster.h"
+#include "ebs/scenario.h"
 #include "obs/export.h"
 #include "obs/obs.h"
 #include "sim/engine.h"
@@ -341,6 +342,109 @@ TEST(Determinism, ShardedObservabilityIsEffectFreeAndThreadInvariant) {
   EXPECT_EQ(a.out.series, b.out.series);
   EXPECT_GT(a.samples, 0u);
   EXPECT_GT(a.out.trace.size(), 100u);  // spans actually exported
+}
+
+// A LUNA node and a SOLAR node sharing one rack-scale fabric, one fio job
+// each: a `run_until` part-way, then a drain. `Eng` is the engine under
+// test, a plain `sim::Engine` or a one-shard `sim::ShardedEngine`.
+template <typename Eng>
+RunSig drive_hetero(Eng& eng, Cluster& cluster,
+                    const std::vector<std::uint64_t>& vds, obs::Obs& obs,
+                    ObsExports* exports) {
+  workload::FioConfig cfg;
+  cfg.iodepth = 4;
+  cfg.read_fraction = 0.5;
+  cfg.max_ios = 200;
+  std::vector<std::unique_ptr<workload::FioJob>> jobs;
+  for (int i = 0; i < 2; ++i) {
+    cfg.vd_id = vds[static_cast<std::size_t>(i)];
+    jobs.push_back(std::make_unique<workload::FioJob>(
+        cluster.engine(),
+        [&cluster, i](IoRequest io, transport::IoCompleteFn done) {
+          cluster.compute(i).submit_io(std::move(io), std::move(done));
+        },
+        cfg, Rng(31 + static_cast<std::uint64_t>(i))));
+  }
+  cluster.engine().at(0, [&jobs] {
+    for (auto& j : jobs) j->start();
+  });
+  eng.run_until(us(300));
+  eng.run();
+
+  std::ostringstream m, t, s;
+  obs::write_metrics_json(m, obs.registry());
+  obs::write_chrome_trace(t, obs.tracer());
+  obs::write_series_json(s, obs.registry(), obs.sampler());
+  exports->metrics = m.str();
+  exports->trace = t.str();
+  exports->series = s.str();
+
+  RunSig sig;
+  sig.executed = eng.executed();
+  sig.end_time = eng.now();
+  sig.tcp_done = jobs[0]->completed();
+  sig.solar_done = jobs[1]->completed();
+  for (const auto& j : jobs) {
+    const Histogram& lat = j->metrics().total();
+    sig.lat_count += lat.count();
+    sig.lat_max = std::max(sig.lat_max, lat.max());
+    sig.lat_mean += lat.mean();
+  }
+  return sig;
+}
+
+// A plain engine is the one-shard fleet: the same mixed LUNA+SOLAR seed
+// built as `Cluster(sim::Engine&)` and driven through the engine, or built
+// by `build_scenario` with one shard and driven through
+// `ShardedEngine::run_until`/`run`, is one simulation — equal signatures
+// and byte-identical obs exports.
+TEST(Determinism, OneShardScenarioMatchesPlainEngine) {
+  ScenarioSpec spec;
+  spec.compute_nodes = 2;
+  spec.storage_nodes = 4;
+  spec.servers_per_rack = 4;
+  spec.compute_stacks = {StackKind::kLuna, StackKind::kSolar};
+  spec.seed = 4242;
+  spec.vd_size_bytes = 1ull << 30;
+  obs::ObsConfig oc;
+  oc.sample_interval = us(20);
+
+  obs::Obs plain_obs(oc);
+  ObsExports plain_out;
+  RunSig plain;
+  {
+    ClusterParams p = params_from(spec);
+    p.obs = &plain_obs;
+    sim::Engine eng;
+    Cluster cluster(eng, p);
+    std::vector<std::uint64_t> vds;
+    for (int i = 0; i < 2; ++i) {
+      vds.push_back(cluster.create_vd(spec.vd_size_bytes));
+    }
+    plain_obs.attach(eng);
+    plain = drive_hetero(eng, cluster, vds, plain_obs, &plain_out);
+  }
+
+  obs::Obs fleet_obs(oc);
+  ObsExports fleet_out;
+  RunSig fleet;
+  {
+    ClusterParams p = params_from(spec);
+    p.obs = &fleet_obs;
+    Scenario s = build_scenario(spec, std::move(p));
+    ASSERT_EQ(s.engine->shards(), 1);
+    fleet_obs.attach(*s.engine);
+    fleet = drive_hetero(*s.engine, *s.cluster, s.vds, fleet_obs, &fleet_out);
+  }
+
+  EXPECT_EQ(plain.tcp_done, 200u);
+  EXPECT_EQ(plain.solar_done, 200u);
+  EXPECT_EQ(plain, fleet);
+  EXPECT_EQ(plain_out.metrics, fleet_out.metrics);
+  EXPECT_EQ(plain_out.series, fleet_out.series);
+  EXPECT_EQ(plain_out.trace, fleet_out.trace);
+  EXPECT_GT(plain_obs.sampler().samples_taken(), 0u);
+  EXPECT_GT(plain_out.trace.size(), 100u);
 }
 
 // Chaos on the sharded engine: same plan, same seed, shards = 2, swept at

@@ -89,8 +89,8 @@ TEST(TwoHosts, QueueFullDropsTail) {
   f.eng.run();
   // One in flight + 2 queued at the NIC; the rest dropped there or at sw.
   EXPECT_LT(delivered, 10);
-  EXPECT_GT(f.net.drops().queue_full, 0u);
-  EXPECT_EQ(delivered + static_cast<int>(f.net.drops().queue_full), 10);
+  EXPECT_GT(f.net.drops_total().queue_full, 0u);
+  EXPECT_EQ(delivered + static_cast<int>(f.net.drops_total().queue_full), 10);
 }
 
 TEST(TwoHosts, HighPriorityOvertakesBestEffort) {
@@ -127,7 +127,7 @@ TEST(TwoHosts, RandomLossDropsApproximatelyRate) {
   });
   f.eng.run();
   EXPECT_NEAR(delivered, 1000, 120);
-  EXPECT_EQ(f.net.drops().random_loss, 2000u - static_cast<unsigned>(delivered));
+  EXPECT_EQ(f.net.drops_total().random_loss, 2000u - static_cast<unsigned>(delivered));
 }
 
 TEST(TwoHosts, SilentDeadDeviceDropsEverything) {
@@ -141,7 +141,7 @@ TEST(TwoHosts, SilentDeadDeviceDropsEverything) {
   });
   f.eng.run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(f.net.drops().device_dead, 1u);
+  EXPECT_EQ(f.net.drops_total().device_dead, 1u);
   // Repair restores forwarding.
   f.net.repair_device(*t.sw);
   f.eng.at(f.eng.now(), [&] {
@@ -167,13 +167,13 @@ TEST(TwoHosts, BlackholeDropsOnlyAffectedFlows) {
   f.eng.run();
   EXPECT_NEAR(delivered, kFlows * 3 / 4, kFlows / 20);
   // Deterministic per flow: an affected flow stays affected.
-  const auto drops_before = f.net.drops().blackhole;
+  const auto drops_before = f.net.drops_total().blackhole;
   f.eng.at(f.eng.now(), [&] {
     t.a->send_packet(make_pkt(t.a->ip(), t.b->ip(), 7, 2, 100));
     t.a->send_packet(make_pkt(t.a->ip(), t.b->ip(), 7, 2, 100));
   });
   f.eng.run();
-  const auto new_drops = f.net.drops().blackhole - drops_before;
+  const auto new_drops = f.net.drops_total().blackhole - drops_before;
   EXPECT_TRUE(new_drops == 0 || new_drops == 2) << new_drops;
 }
 
@@ -190,14 +190,14 @@ TEST(TwoHosts, FailStopLinkLosesInFlightThenExcluded) {
   });
   f.eng.run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(f.net.drops().link_down, 1u);  // lost in flight (pre-detection)
+  EXPECT_EQ(f.net.drops_total().link_down, 1u);  // lost in flight (pre-detection)
 
   f.eng.at(f.eng.now() + ms(100), [&] {  // well past detection
     t.a->send_packet(make_pkt(t.a->ip(), t.b->ip(), 1, 2, 100));
   });
   f.eng.run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_GE(f.net.drops().no_route, 1u);
+  EXPECT_GE(f.net.drops_total().no_route, 1u);
 
   // Repair: traffic flows again after detection of carrier-up.
   f.net.repair_link(*t.b, 0);
@@ -361,7 +361,7 @@ TEST(Clos, SilentSpineDeathBlackholesSubsetUntilRepair) {
   // control plane never excludes it (carrier is still up).
   EXPECT_GT(delivered, 64);
   EXPECT_LT(delivered, 192);
-  EXPECT_GT(f.net.drops().device_dead, 0u);
+  EXPECT_GT(f.net.drops_total().device_dead, 0u);
 }
 
 TEST(Clos, IntRecordsAppendedPerSwitchHop) {

@@ -473,6 +473,43 @@ TEST(ShardedEngine, CrossShardAtExactLookaheadBoundary) {
   }
 }
 
+// The conservative contract holds in every build type: a cross-shard
+// message that would land inside the current epoch aborts the run with a
+// message instead of silently reordering events.
+TEST(ShardedEngineDeathTest, PostInsideLookaheadWindowAborts) {
+  EXPECT_DEATH(
+      {
+        ShardedEngine se(2, 1, us(1));
+        se.shard(0).at(0, [&] { se.post(1, ns(500), [] {}); });
+        se.run();
+      },
+      "inside the lookahead window");
+}
+
+// One shard has no epochs: an adopted engine runs exactly as if driven by
+// hand. Control operations run at once or are ordinary events, and the
+// fleet clock is the engine's own, never rounded up to an epoch end.
+TEST(ShardedEngine, OneShardDrivesItsEngineDirectly) {
+  Engine eng;
+  ShardedEngine se(eng);
+  EXPECT_EQ(&se.shard(0), &eng);
+  std::vector<int> order;
+  eng.at(ns(300), [&] {
+    order.push_back(1);
+    se.post_global([&] { order.push_back(2); });
+    se.post_global_at(ns(400), [&] { order.push_back(3); });
+  });
+  se.run_until(ns(350));
+  EXPECT_EQ(se.now(), ns(350));
+  EXPECT_EQ(eng.now(), ns(350));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(se.pending(), 1u);
+  se.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(se.now(), ns(400));
+  EXPECT_EQ(se.executed(), 2u);
+}
+
 // Zero-delay same-shard self-messages never cross the mailbox: an event that
 // schedules onto its own engine at the current instant runs later in the
 // same epoch, before any later-timestamped work, at any thread count.
@@ -553,6 +590,7 @@ TEST(ShardedEngine, RandomizedThreeShardFifoPreservation) {
     }
     se.run();
     ctx->se = nullptr;
+    *burst = nullptr;  // the closure holds `burst` itself: break the cycle
     return ctx;
   };
 

@@ -228,8 +228,8 @@ HeteroSig run_hetero(std::uint64_t seed, obs::Obs* obs = nullptr) {
   ClusterParams params = params_from(spec);
   params.obs = obs;
   Scenario s = build_scenario(spec, std::move(params));
-  auto& eng = *s.engine;
-  if (obs != nullptr) s.attach(*obs);
+  auto& eng = s.cluster->engine();
+  if (obs != nullptr) obs->attach(*s.engine);
   EXPECT_EQ(s.cluster->compute(0).stack_kind(), StackKind::kLuna);
   EXPECT_EQ(s.cluster->compute(1).stack_kind(), StackKind::kSolar);
 
