@@ -40,13 +40,13 @@ class RunSummary {
   std::size_t rows_count() const { return rows_.size(); }
 
   /// Writes BENCH_<name>.json in the working directory (where CI collects
-  /// artifacts from). Returns false on I/O failure — benches report it but
-  /// do not fail the run over a summary file.
+  /// artifacts from). Returns false, after saying so on stderr, on I/O
+  /// failure; benches then exit non-zero, so a smoke that passes has
+  /// written its summary.
   bool write() const { return write_to("BENCH_" + name_ + ".json"); }
 
   bool write_to(const std::string& path) const {
     std::ofstream os(path, std::ios::trunc);
-    if (!os) return false;
     obs::JsonWriter w(os);
     w.begin_object();
     w.key("bench").value(name_);
@@ -63,9 +63,12 @@ class RunSummary {
     w.end_array();
     w.end_object();
     os << "\n";
-    const bool ok = static_cast<bool>(os);
-    if (ok) std::printf("wrote %s\n", path.c_str());
-    return ok;
+    if (!os) {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
   }
 
  private:

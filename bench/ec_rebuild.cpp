@@ -24,10 +24,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -247,16 +245,8 @@ int main(int argc, char** argv) {
 
   ebs::ScenarioSpec spec = base_spec(o.smoke);
   if (!o.scenario_file.empty()) {
-    std::ifstream f(o.scenario_file);
-    if (!f) {
-      std::fprintf(stderr, "cannot open scenario: %s\n",
-                   o.scenario_file.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << f.rdbuf();
     std::string err;
-    if (!ebs::scenario_from_json(ss.str(), &spec, &err)) {
+    if (!ebs::scenario_from_file(o.scenario_file, &spec, &err)) {
       std::fprintf(stderr, "bad scenario: %s\n", err.c_str());
       return 2;
     }
@@ -333,9 +323,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!summary.write()) {
-    std::fprintf(stderr, "warning: could not write BENCH_ec_rebuild.json\n");
-  }
+  if (!summary.write()) ok = false;
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

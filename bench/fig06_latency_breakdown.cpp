@@ -204,7 +204,7 @@ int main() {
                  summary);
   print_quadrant("(d) 4KB Write, 95th percentile", transport::OpType::kWrite,
                  0.95, summary);
-  summary.write();
+  if (!summary.write()) return 1;
   export_sample_trace();
   return 0;
 }

@@ -12,9 +12,7 @@
 // LUNA to 100% SOLAR, every node driving load over the shared fabric at
 // once. --scenario FILE replaces the built-in base ScenarioSpec.
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "bench_json.h"
@@ -136,17 +134,9 @@ StepResult run_step(const ebs::ScenarioSpec& base, int solar_nodes) {
 int run_rollout(const std::string& scenario_file) {
   ebs::ScenarioSpec spec = rollout_scenario();
   if (!scenario_file.empty()) {
-    std::ifstream f(scenario_file);
-    if (!f) {
-      std::fprintf(stderr, "fig07: cannot open %s\n", scenario_file.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << f.rdbuf();
     std::string err;
-    if (!ebs::scenario_from_json(ss.str(), &spec, &err)) {
-      std::fprintf(stderr, "fig07: bad scenario %s: %s\n",
-                   scenario_file.c_str(), err.c_str());
+    if (!ebs::scenario_from_file(scenario_file, &spec, &err)) {
+      std::fprintf(stderr, "fig07: bad scenario: %s\n", err.c_str());
       return 2;
     }
   }

@@ -99,6 +99,5 @@ int main() {
   std::printf("shape: SOLAR 1-core IOPS vs LUNA (the incumbent): +%.0f%% "
               "(paper: +46%%); ~150K IOPS/core without queueing (§4.8)\n",
               100.0 * (solar_k1 / luna_k1 - 1.0));
-  summary.write();
-  return 0;
+  return summary.write() ? 0 : 1;
 }

@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
         .set("speedup_vs_1t", speedup)
         .set("fingerprint", r.fingerprint);
   }
-  summary.write();
+  if (!summary.write()) return 1;
   std::printf("determinism: fingerprints identical across all %zu thread "
               "counts\n",
               o.threads.size());

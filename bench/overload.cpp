@@ -18,9 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -249,16 +247,8 @@ int main(int argc, char** argv) {
 
   ebs::ScenarioSpec spec = base_spec(o.smoke);
   if (!o.scenario_file.empty()) {
-    std::ifstream f(o.scenario_file);
-    if (!f) {
-      std::fprintf(stderr, "cannot open scenario: %s\n",
-                   o.scenario_file.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << f.rdbuf();
     std::string err;
-    if (!ebs::scenario_from_json(ss.str(), &spec, &err)) {
+    if (!ebs::scenario_from_file(o.scenario_file, &spec, &err)) {
       std::fprintf(stderr, "bad scenario: %s\n", err.c_str());
       return 2;
     }
@@ -365,8 +355,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  summary.write();
-  if (!ok) return 1;
+  if (!summary.write() || !ok) return 1;
   std::printf("overload: all scenarios deterministic; early rejection "
               "strictly improves goodput-under-SLO\n");
   return 0;

@@ -414,9 +414,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!summary.write()) {
-    std::fprintf(stderr, "warning: could not write BENCH_placement.json\n");
-  }
+  if (!summary.write()) ok = false;
   std::printf("%s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

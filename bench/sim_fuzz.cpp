@@ -16,19 +16,20 @@
 //                      planted bug) and hunt it with stretched plans; exit
 //                      0 iff the hang oracle catches it and the minimized
 //                      repro still fails deterministically.
-//   --replay FILE      re-run a dumped plan (--stack/--seed/--hang-oracle/
-//                      --planted-bug select the rest of the triple); exit
-//                      0 iff clean.
+//   --replay FILE      re-run a dumped plan with --stack S --seed N (a
+//                      sweep run) or --seed N --planted-bug; exit 0 iff
+//                      clean.
 //
-// The harness config other than (stack, seed, plan, workload knobs drawn
-// from the seed) is fixed, so a repro file plus the printed command line
-// fully determines the failing run.
+// Every run's config is a pure function of its (stack, seed) — or its seed
+// and the planted bug — so a repro file plus the printed command line fully
+// determines the failing run.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,10 +39,9 @@
 #include "chaos/harness.h"
 #include "chaos/injector.h"
 #include "chaos/minimize.h"
-#include "ebs/cluster.h"
+#include "ebs/scenario.h"
 #include "obs/export.h"
 #include "obs/obs.h"
-#include "sim/engine.h"
 
 using namespace repro;
 using chaos::FaultPlan;
@@ -60,14 +60,13 @@ constexpr StackKind kStacks[] = {
 
 std::string stack_name(StackKind s) { return stack::cli_string(s); }
 
+/// What `stack`'s chaos fleet contains, for the plan generator: one
+/// throwaway cluster, built the way `run_chaos` builds its own.
 chaos::TopologyShape shape_for(StackKind stack) {
-  // One throwaway cluster per stack tells the generator what exists,
-  // built from the harness's own declarative scenario.
-  HarnessConfig defaults;
-  defaults.stack = stack;
-  sim::Engine eng;
-  ebs::Cluster cluster(eng, ebs::params_from(defaults.scenario()));
-  return chaos::Injector(cluster).shape();
+  ebs::ScenarioSpec spec = chaos::default_scenario();
+  spec.stack = stack;
+  ebs::Scenario built = ebs::build_scenario(spec, ebs::params_from(spec));
+  return chaos::Injector(*built.cluster).shape();
 }
 
 struct FuzzOptions {
@@ -76,7 +75,6 @@ struct FuzzOptions {
   int determinism_every = 10;  ///< double-run every Nth run
   double max_seconds = 0.0;    ///< 0 = no wall-clock box
   std::string out_dir = ".";
-  bool plant_bug = false;
   /// Worker threads for the sweep. Each run's config is a pure function of
   /// its index, results are reported in index order, and minimization runs
   /// serially afterwards — so `--jobs N` finds exactly the set of failures
@@ -88,8 +86,11 @@ std::string repro_path(const FuzzOptions& opt, const char* tag) {
   return opt.out_dir + "/simfuzz_repro_" + tag + ".json";
 }
 
+/// Dumps the minimized plan and a trace of it, and prints the command that
+/// replays it; `replay_args` name the rest of the run's config.
 void dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
-                const FaultPlan& min_plan, const char* tag) {
+                const FaultPlan& min_plan, const char* tag,
+                const std::string& replay_args) {
   const std::string plan_path = repro_path(opt, tag);
   std::ofstream f(plan_path);
   f << min_plan.to_json() << "\n";
@@ -108,11 +109,9 @@ void dump_repro(const FuzzOptions& opt, const HarnessConfig& cfg,
   std::printf("  repro plan : %s\n", plan_path.c_str());
   std::printf("  trace      : %s (violations in traced run: %zu)\n",
               trace_path.c_str(), r.violations.size());
-  std::printf("  replay with: sim_fuzz --replay %s --stack %s --seed %llu%s%s\n",
-              plan_path.c_str(), stack_name(cfg.stack).c_str(),
-              static_cast<unsigned long long>(cfg.seed),
-              cfg.oracle.hang_oracle ? " --hang-oracle" : "",
-              cfg.disable_solar_failover ? " --planted-bug" : "");
+  std::printf("  signature  : %s\n", r.signature().c_str());
+  std::printf("  replay with: sim_fuzz --replay %s %s\n", plan_path.c_str(),
+              replay_args.c_str());
 }
 
 void print_violations(const RunReport& r) {
@@ -128,32 +127,44 @@ void print_violations(const RunReport& r) {
   }
 }
 
-/// The (stack, seed, plan, workload) triple of sweep run `i` — a pure
-/// function of the options and index, shared by the serial and parallel
-/// paths so they cover identical configs.
-HarnessConfig config_for(const FuzzOptions& opt, int i,
-                         const chaos::TopologyShape shapes[4]) {
-  const int si = i % 4;
-  const StackKind stack = kStacks[si];
-  const std::uint64_t seed = opt.seed_base + static_cast<std::uint64_t>(i);
-
+/// The config of the sweep run on `stack` with `seed` (`shape` is
+/// `shape_for(stack)`): its plan and workload are drawn from the seed
+/// alone. Sweep run `i` is `(kStacks[i % 4], seed_base + i)`; the serial
+/// and parallel sweeps and `--replay` all build through here, so they
+/// cover identical configs.
+HarnessConfig config_for(StackKind stack, std::uint64_t seed,
+                         const chaos::TopologyShape& shape) {
   Rng rng(seed * 6364136223846793005ull + 1442695040888963407ull);
   chaos::GeneratorConfig gc;
   gc.window = ms(500);
   gc.min_events = 1;
   gc.max_events = 4;
-  const FaultPlan plan = chaos::generate_plan(rng, gc, shapes[si]);
+  const FaultPlan plan = chaos::generate_plan(rng, gc, shape);
 
   HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = seed;
+  cfg.scenario.stack = stack;
+  cfg.scenario.seed = seed;
   cfg.plan = plan;
   cfg.active = ms(600);
   // The workload leg of the triple, drawn from the same stream.
-  cfg.read_fraction = 0.2 + 0.15 * static_cast<double>(rng.next_below(4));
-  cfg.block_size = 4096u << rng.next_below(3);  // 4K / 8K / 16K
-  cfg.poisson_iops = 800.0 + 400.0 * static_cast<double>(rng.next_below(4));
+  ebs::WorkloadSpec& w = cfg.scenario.workload;
+  w.read_fraction = 0.2 + 0.15 * static_cast<double>(rng.next_below(4));
+  w.block_size = 4096u << rng.next_below(3);  // 4K / 8K / 16K
+  w.poisson_iops = 800.0 + 400.0 * static_cast<double>(rng.next_below(4));
   cfg.oracle.hang_oracle = chaos::hang_oracle_applicable(stack, plan);
+  return cfg;
+}
+
+/// The planted-bug hunt's config for `seed`: SOLAR with path failover
+/// disabled, a window long enough for a 1 s hang, and the hang oracle
+/// armed (the hunt's plans are hang-safe for a healthy SOLAR).
+HarnessConfig planted_bug_config(std::uint64_t seed) {
+  HarnessConfig cfg;
+  cfg.scenario.stack = StackKind::kSolar;
+  cfg.scenario.seed = seed;
+  cfg.active = ms(1700);
+  cfg.oracle.hang_oracle = true;
+  cfg.disable_solar_failover = true;
   return cfg;
 }
 
@@ -162,8 +173,8 @@ HarnessConfig config_for(const FuzzOptions& opt, int i,
 void handle_failure(const FuzzOptions& opt, int i, const HarnessConfig& cfg,
                     const RunReport& r, bool deterministic) {
   std::printf("[sim_fuzz] FAIL run %d: stack=%s seed=%llu plan=%zu events%s\n",
-              i, stack_name(cfg.stack).c_str(),
-              static_cast<unsigned long long>(cfg.seed),
+              i, stack_name(cfg.scenario.stack).c_str(),
+              static_cast<unsigned long long>(cfg.scenario.seed),
               cfg.plan.events.size(),
               deterministic ? "" : " (NON-DETERMINISTIC)");
   print_violations(r);
@@ -178,9 +189,11 @@ void handle_failure(const FuzzOptions& opt, int i, const HarnessConfig& cfg,
                 cfg.plan.events.size(), min.plan.events.size(), min.probes);
     char tag[64];
     std::snprintf(tag, sizeof tag, "%s_seed%llu",
-                  stack_name(cfg.stack).c_str(),
-                  static_cast<unsigned long long>(cfg.seed));
-    dump_repro(opt, cfg, min.plan, tag);
+                  stack_name(cfg.scenario.stack).c_str(),
+                  static_cast<unsigned long long>(cfg.scenario.seed));
+    dump_repro(opt, cfg, min.plan, tag,
+               "--stack " + stack_name(cfg.scenario.stack) + " --seed " +
+                   std::to_string(cfg.scenario.seed));
   }
 }
 
@@ -217,7 +230,9 @@ int run_sweep_parallel(const FuzzOptions& opt) {
         }
       }
       Outcome& out = outcomes[static_cast<std::size_t>(i)];
-      out.cfg = config_for(opt, i, shapes);
+      out.cfg = config_for(kStacks[i % 4],
+                           opt.seed_base + static_cast<std::uint64_t>(i),
+                           shapes[i % 4]);
       out.report = chaos::run_chaos(out.cfg);
       if (opt.determinism_every > 0 && i % opt.determinism_every == 0) {
         const RunReport again = chaos::run_chaos(out.cfg);
@@ -294,7 +309,9 @@ int run_sweep(const FuzzOptions& opt) {
         break;
       }
     }
-    const HarnessConfig cfg = config_for(opt, i, shapes);
+    const HarnessConfig cfg =
+        config_for(kStacks[i % 4], opt.seed_base + static_cast<std::uint64_t>(i),
+                   shapes[i % 4]);
     hang_oracle_runs += cfg.oracle.hang_oracle ? 1 : 0;
 
     const RunReport r = chaos::run_chaos(cfg);
@@ -361,13 +378,8 @@ int run_plant_bug(const FuzzOptions& opt) {
       plan.events.push_back(e);
     }
 
-    HarnessConfig cfg;
-    cfg.stack = StackKind::kSolar;
-    cfg.seed = seed;
+    HarnessConfig cfg = planted_bug_config(seed);
     cfg.plan = plan;
-    cfg.active = ms(1700);
-    cfg.oracle.hang_oracle = true;
-    cfg.disable_solar_failover = true;
 
     // A healthy SOLAR must shrug this exact plan off — otherwise the
     // "catch" below would prove nothing about the planted bug.
@@ -406,15 +418,16 @@ int run_plant_bug(const FuzzOptions& opt) {
     std::printf("  minimized: %zu -> %zu events (%d probes), still fails "
                 "deterministically\n",
                 plan.events.size(), min.plan.events.size(), min.probes);
-    dump_repro(opt, cfg, min.plan, "planted_bug");
+    dump_repro(opt, cfg, min.plan, "planted_bug",
+               "--seed " + std::to_string(seed) + " --planted-bug");
     return 0;
   }
   std::printf("[sim_fuzz] ERROR: planted bug never caught in 16 attempts\n");
   return 1;
 }
 
-int run_replay(const std::string& file, StackKind stack, std::uint64_t seed,
-               bool hang_oracle, bool planted_bug) {
+/// Re-runs `cfg` with the plan dumped in `file`.
+int run_replay(const std::string& file, HarnessConfig cfg) {
   std::ifstream f(file);
   if (!f) {
     std::fprintf(stderr, "sim_fuzz: cannot open %s\n", file.c_str());
@@ -422,24 +435,16 @@ int run_replay(const std::string& file, StackKind stack, std::uint64_t seed,
   }
   std::stringstream ss;
   ss << f.rdbuf();
-  FaultPlan plan;
   std::string err;
-  if (!chaos::plan_from_json(ss.str(), &plan, &err)) {
+  if (!chaos::plan_from_json(ss.str(), &cfg.plan, &err)) {
     std::fprintf(stderr, "sim_fuzz: bad plan %s: %s\n", file.c_str(),
                  err.c_str());
     return 2;
   }
-  HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = seed;
-  cfg.plan = plan;
-  cfg.active = planted_bug ? ms(1700) : ms(600);
-  cfg.oracle.hang_oracle = hang_oracle;
-  cfg.disable_solar_failover = planted_bug;
   const RunReport r = chaos::run_chaos(cfg);
   std::printf("[sim_fuzz] replay %s: stack=%s seed=%llu -> %s (%s)\n",
-              file.c_str(), stack_name(stack).c_str(),
-              static_cast<unsigned long long>(seed),
+              file.c_str(), stack_name(cfg.scenario.stack).c_str(),
+              static_cast<unsigned long long>(cfg.scenario.seed),
               r.ok() ? "CLEAN" : "VIOLATIONS", r.signature().c_str());
   print_violations(r);
   return r.ok() ? 0 : 1;
@@ -450,9 +455,9 @@ int run_replay(const std::string& file, StackKind stack, std::uint64_t seed,
 int main(int argc, char** argv) {
   FuzzOptions opt;
   std::string replay_file;
-  StackKind replay_stack = StackKind::kSolar;
-  std::uint64_t replay_seed = 1;
-  bool replay_hang_oracle = false;
+  std::optional<StackKind> replay_stack;
+  std::optional<std::uint64_t> replay_seed;
+  bool replay_planted = false;
   bool mode_plant = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -482,30 +487,39 @@ int main(int argc, char** argv) {
     } else if (a == "--replay") {
       replay_file = next();
     } else if (a == "--stack") {
-      if (!ebs::stack_from_string(next(), &replay_stack)) {
+      StackKind stack;
+      if (!ebs::stack_from_string(next(), &stack)) {
         std::fprintf(stderr, "sim_fuzz: unknown stack\n");
         return 2;
       }
+      replay_stack = stack;
     } else if (a == "--seed") {
       replay_seed = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--hang-oracle") {
-      replay_hang_oracle = true;
     } else if (a == "--planted-bug") {
-      opt.plant_bug = true;  // replay against the planted-bug build
+      replay_planted = true;  // replay against the planted-bug build
     } else {
       std::fprintf(stderr,
                    "usage: sim_fuzz [--smoke | --runs N] [--jobs N]\n"
                    "                [--seed-base S]\n"
                    "                [--max-seconds S] [--out DIR] [--plant-bug]\n"
-                   "                [--replay FILE --stack NAME --seed N\n"
-                   "                 [--hang-oracle] [--planted-bug]]\n");
+                   "                [--replay FILE (--stack NAME --seed N |\n"
+                   "                                --seed N --planted-bug)]\n");
       return 2;
     }
   }
 
-  if (!replay_file.empty()) {
-    return run_replay(replay_file, replay_stack, replay_seed,
-                      replay_hang_oracle, opt.plant_bug);
+  if (!replay_file.empty() || replay_stack || replay_seed || replay_planted) {
+    if (replay_file.empty() || !replay_seed ||
+        replay_stack.has_value() == replay_planted) {
+      std::fprintf(stderr, "sim_fuzz: replay needs --replay FILE plus --stack "
+                           "NAME --seed N, or --seed N --planted-bug\n");
+      return 2;
+    }
+    return run_replay(replay_file,
+                      replay_planted
+                          ? planted_bug_config(*replay_seed)
+                          : config_for(*replay_stack, *replay_seed,
+                                       shape_for(*replay_stack)));
   }
   if (mode_plant) return run_plant_bug(opt);
   return run_sweep(opt);

@@ -158,7 +158,7 @@ int main() {
         "solar_hangs", solar);
   }
   std::printf("%s", t.render().c_str());
-  summary.write();
+  if (!summary.write()) return 1;
   std::printf("shape: SOLAR column all zeros: %s (paper: yes); LUNA hangs "
               "on silent failures, none on fail-stop port/spine failures\n",
               solar_all_zero ? "YES" : "NO");

@@ -82,41 +82,46 @@ bool hang_oracle_applicable(ebs::StackKind stack, const FaultPlan& plan) {
   return true;
 }
 
-ebs::ScenarioSpec HarnessConfig::scenario() const {
+ebs::ScenarioSpec default_scenario() {
   ebs::ScenarioSpec spec;
   spec.name = "chaos";
-  spec.compute_nodes = compute_nodes;
-  spec.storage_nodes = storage_nodes;
-  spec.servers_per_rack = servers_per_rack > 0
-                              ? servers_per_rack
-                              : std::max(1, (storage_nodes + 1) / 2);
-  spec.stack = stack;
-  spec.compute_stacks = compute_stacks;
-  spec.seed = seed;
-  spec.store_payload = true;  // durability oracle needs bytes
+  spec.compute_nodes = 2;
+  spec.storage_nodes = 4;
+  spec.servers_per_rack = 2;
+  spec.stack = ebs::StackKind::kSolar;
+  spec.seed = 1;
+  spec.store_payload = true;
   spec.vd_size_bytes = 1ull << 30;
-  if (slo_all) {
-    ebs::VdSpec vd;
-    vd.size_bytes = spec.vd_size_bytes;
-    vd.has_slo = true;
-    vd.slo = slo;
-    spec.vds.assign(static_cast<std::size_t>(compute_nodes), vd);
-  }
-  spec.workload.block_size = block_size;
-  spec.workload.iodepth = iodepth;
-  spec.workload.read_fraction = read_fraction;
+  spec.workload.block_size = 8192;
+  spec.workload.iodepth = 4;
+  spec.workload.read_fraction = 0.3;
+  spec.workload.max_ios = 400;
+  spec.workload.poisson_iops = 1500.0;
   spec.workload.real_payload = true;
-  spec.workload.max_ios = static_cast<std::uint64_t>(fio_max_ios);
-  spec.workload.poisson_iops = poisson_iops;
-  spec.shards = shards;
-  spec.threads = threads;
-  spec.qos = qos;
-  spec.ec = ec;
-  spec.placement = placement;
   return spec;
 }
 
 namespace {
+
+/// Why `run_chaos` cannot run `spec` as given, or "" if it can.
+std::string unsupported(const ebs::ScenarioSpec& spec) {
+  if (!spec.store_payload || !spec.workload.real_payload) {
+    return "payloads off: the durability oracle needs bytes";
+  }
+  if (spec.workload.sequential) return "sequential workload";
+  if (!spec.vds.empty() &&
+      spec.vds.size() != static_cast<std::size_t>(spec.compute_nodes)) {
+    return "vds is not one VD per compute node";
+  }
+  return "";
+}
+
+/// Size of compute node `node`'s VD.
+std::uint64_t vd_size(const ebs::ScenarioSpec& spec, int node) {
+  return spec.vds.empty()
+             ? spec.vd_size_bytes
+             : spec.vds[static_cast<std::size_t>(node)].size_bytes;
+}
 
 /// Storage-server IPs unreachable at `now` under `plan` (armed at
 /// `armed_at`): fail-stop and silent-death NIC faults still in their
@@ -164,7 +169,12 @@ bool maintenance_idle(ebs::Cluster& cluster) {
 }  // namespace
 
 RunReport run_chaos(const HarnessConfig& cfg) {
-  const ebs::ScenarioSpec spec = cfg.scenario();
+  const ebs::ScenarioSpec& spec = cfg.scenario;
+  if (const std::string why = unsupported(spec); !why.empty()) {
+    RunReport report;
+    report.violations.push_back({"config", why, 0});
+    return report;
+  }
   ebs::ClusterParams params = ebs::params_from(spec);
   params.obs = cfg.obs;
   if (cfg.dpu_cpu_cores > 0) params.dpu.cpu_cores = cfg.dpu_cpu_cores;
@@ -188,7 +198,7 @@ RunReport run_chaos(const HarnessConfig& cfg) {
   std::vector<OracleBoard> boards(static_cast<std::size_t>(groups),
                                   OracleBoard(cfg.oracle));
   Injector injector(cluster);
-  Rng rng(cfg.seed ^ 0xC4A05F'44D2ull);
+  Rng rng(spec.seed ^ 0xC4A05F'44D2ull);
 
   // `cluster.engine().now()` routes through the calling thread's shard
   // context, so inside submit/complete hooks it reads the home engine.
@@ -207,7 +217,7 @@ RunReport run_chaos(const HarnessConfig& cfg) {
 
   workload::FioConfig fc;
   fc.vd_id = s.vds[0];
-  fc.vd_size = spec.vd_size_bytes;
+  fc.vd_size = vd_size(spec, 0);
   fc.block_size = spec.workload.block_size;
   fc.iodepth = spec.workload.iodepth;
   fc.read_fraction = spec.workload.read_fraction;
@@ -225,7 +235,7 @@ RunReport run_chaos(const HarnessConfig& cfg) {
   for (int i = 0; i < nodes; ++i) {
     workload::PoissonConfig pc;
     pc.vd_id = s.vds[static_cast<std::size_t>(i)];
-    pc.vd_size = spec.vd_size_bytes;
+    pc.vd_size = vd_size(spec, i);
     pc.iops = spec.workload.poisson_iops;
     pc.read_fraction = spec.workload.read_fraction;
     pc.block_size = spec.workload.block_size;

@@ -1,5 +1,5 @@
-// Chaos harness: one (stack, seed, plan, workload) run under full oracle
-// supervision.
+// Chaos harness: one run — an ebs::ScenarioSpec plus a FaultPlan — under
+// full oracle supervision.
 //
 // Lifecycle: build a small cluster with real payloads → closed-loop fio
 // plus an open-loop Poisson stream per compute node, submits wrapped by
@@ -18,7 +18,6 @@
 #include "chaos/oracle.h"
 #include "ebs/cluster.h"
 #include "ebs/scenario.h"
-#include "qos/slo.h"
 
 namespace repro::obs {
 class Obs;
@@ -26,47 +25,33 @@ class Obs;
 
 namespace repro::chaos {
 
+/// The chaos defaults: a small SOLAR fleet (fault coverage, not
+/// throughput, is the point) of 2 compute and 4 storage nodes in racks of
+/// two, one 1 GiB VD per compute node, seed 1. The workload is one
+/// open-loop Poisson stream per compute node at 1 500 IOPS (rate-bounded,
+/// and open-loop arrivals keep probing a broken path the way guests do)
+/// plus one closed-loop fio job capped at 400 I/Os for queue-depth
+/// backpressure: iodepth 4, 8 KiB blocks, read fraction 0.3. Payloads
+/// are real and stored, as `run_chaos` requires.
+ebs::ScenarioSpec default_scenario();
+
 struct HarnessConfig {
-  ebs::StackKind stack = ebs::StackKind::kSolar;
-  /// Per-node stack assignment for heterogeneous fleets (mid-rollout
-  /// chaos); empty = homogeneous `stack`.
-  std::vector<ebs::StackKind> compute_stacks;
-  std::uint64_t seed = 1;
+  /// What the run simulates: topology, stacks, VDs (with any SLOs),
+  /// workload, qos/ec/placement knobs, seed, shards and threads.
+  /// `run_chaos` builds the cluster from it and drives each compute node's
+  /// VD across its whole size. It refuses — a report holding one "config"
+  /// violation, nothing run — a spec with `store_payload` or
+  /// `workload.real_payload` off (the durability oracle needs bytes), a
+  /// `workload.sequential` one, or `vds` not listing exactly one VD per
+  /// compute node. With `ec` enabled the run also
+  /// audits EC durability, mid-run against the plan's live storage
+  /// outages (m+1 concurrent fragment losses fire "ec_durability") and
+  /// again at post-repair quiesce. With shards > 1 each compute node gets
+  /// its own oracle board on its home shard. The report signature never
+  /// depends on `threads`.
+  ebs::ScenarioSpec scenario = default_scenario();
   FaultPlan plan;
 
-  // Topology (kept small: fault coverage, not throughput, is the point).
-  int compute_nodes = 2;
-  int storage_nodes = 4;
-  /// Rack width. 0 (default) derives a two-rack storage pod from
-  /// `storage_nodes` — the same ⌈n/2⌉ the harness used to hardcode as 2
-  /// for its 4-node default, but now one knob instead of two that could
-  /// silently disagree (net::ClosConfig defaults to 8/rack on its own).
-  int servers_per_rack = 0;
-
-  // Workload: one open-loop Poisson stream per compute node (rate-bounded,
-  // and open-loop arrivals keep probing a broken path the way guests do)
-  // plus one capped closed-loop fio job for queue-depth backpressure.
-  int iodepth = 4;
-  int fio_max_ios = 400;
-  double poisson_iops = 1500.0;  ///< per compute node
-  std::uint32_t block_size = 8192;
-  double read_fraction = 0.3;
-
-  // Admission/scheduling layer under chaos: rejection storms must not
-  // break exactly-once or recovery oracles (early-rejected I/Os complete
-  // with kRejected, which the oracle counts as an error, not a loss).
-  qos::QosParams qos;
-  /// Erasure-coded fleet (`ec.enabled`): the run additionally audits EC
-  /// durability — mid-run against the fault plan's live storage outages
-  /// (any m concurrent fragment losses must stay recoverable; m+1 fires
-  /// "ec_durability") and again at post-repair quiesce once the
-  /// maintenance agents have drained.
-  ec::EcParams ec;
-  /// Cluster-level placement knobs; forwarded into the scenario so chaos
-  /// runs exercise the same policies as every other harness.
-  placement::PlacementParams placement;
-  bool slo_all = false;  ///< attach `slo` to every VD the harness creates
-  qos::SloSpec slo;
   /// Capacity throttle for rejection-storm runs: saturating the default
   /// six-core DPU takes offered loads too big to simulate cheaply, so
   /// storms shrink the node instead (0 = stack default).
@@ -82,16 +67,6 @@ struct HarnessConfig {
   OracleConfig oracle;
   int readback_samples = 48;
 
-  /// Fabric partition for the engine; 1 = one shard, run on its engine
-  /// directly with one oracle board for the fleet. With shards > 1 the run
-  /// steps in epochs with one oracle board per compute node (node-affine,
-  /// so oracle bookkeeping stays on the node's home shard).
-  int shards = 1;
-  /// Worker threads for the sharded run. Purely a speed knob: the report
-  /// signature is a function of the config (including `shards`), never of
-  /// `threads` — the determinism sweep asserts it.
-  int threads = 1;
-
   /// Planted bug for fuzzer validation: SOLAR never declares a path dead,
   /// so silent failures pin I/O exactly like LUNA — the hang oracle must
   /// catch it.
@@ -100,10 +75,6 @@ struct HarnessConfig {
   /// Optional observability (trace export for repro bundles). Must not
   /// change the run — the determinism sweep asserts it.
   obs::Obs* obs = nullptr;
-
-  /// The declarative scenario this config describes (topology, stacks,
-  /// VDs, workload knobs); `run_chaos` builds the cluster from it.
-  ebs::ScenarioSpec scenario() const;
 };
 
 struct RunReport {

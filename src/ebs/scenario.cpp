@@ -1,6 +1,7 @@
 #include "ebs/scenario.h"
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -111,7 +112,6 @@ std::string ScenarioSpec::to_json() const {
     w.key("placement");
     placement::write_placement_params(w, placement);
   }
-  if (!fault_plan_file.empty()) w.field("fault_plan_file", fault_plan_file);
   w.end_object();
   return os.str();
 }
@@ -132,7 +132,7 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
           root,
           {"name", "topology", "vd_stripe_width", "stack", "compute_stacks",
            "on_dpu", "seed", "store_payload", "vd_size_bytes", "vds",
-           "workload", "qos", "ec", "placement", "fault_plan_file"},
+           "workload", "qos", "ec", "placement"},
           "scenario", error)) {
     return false;
   }
@@ -305,8 +305,24 @@ bool scenario_from_json(const std::string& text, ScenarioSpec* out,
       return false;
     }
   }
-  obs::json_string(root, "fault_plan_file", &spec.fault_plan_file);
   *out = std::move(spec);
+  return true;
+}
+
+bool scenario_from_file(const std::string& path, ScenarioSpec* out,
+                        std::string* error) {
+  std::ifstream f(path);
+  if (!f) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return false;
+  }
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  std::string err;
+  if (!scenario_from_json(ss.str(), out, &err)) {
+    if (error != nullptr) *error = path + ": " + err;
+    return false;
+  }
   return true;
 }
 

@@ -1,7 +1,6 @@
 // ScenarioSpec: one declarative description of an EBS experiment — topology,
 // per-node stack assignment, virtual disks with optional QoS, workload knobs
-// and an optional chaos fault-plan reference — that round-trips through JSON
-// and builds through a single entry point.
+// — that round-trips through JSON and builds through a single entry point.
 //
 // Every harness (bench_util, the chaos harness, sim_fuzz, tests) derives its
 // cluster from a spec, so "what did this run simulate" is one JSON blob, not
@@ -77,8 +76,6 @@ struct ScenarioSpec {
   /// Cluster-level placement knobs (src/placement). Disabled by default:
   /// no policy is built and layouts are bit-identical to pre-field specs.
   placement::PlacementParams placement;
-  /// Optional path to a chaos::FaultPlan JSON to inject during the run.
-  std::string fault_plan_file;
 
   std::string to_json() const;
 };
@@ -88,6 +85,11 @@ struct ScenarioSpec {
 /// silent no-op (a typo'd knob must not quietly run the default). Returns
 /// false with `*error` set on malformed input or unknown stack names.
 bool scenario_from_json(const std::string& text, ScenarioSpec* out,
+                        std::string* error);
+
+/// `scenario_from_json` over the contents of the file at `path`. Returns
+/// false with `*error` naming the file if it cannot be read or parsed.
+bool scenario_from_file(const std::string& path, ScenarioSpec* out,
                         std::string* error);
 
 /// The ClusterParams a spec describes. Field-for-field identical to what the

@@ -48,11 +48,12 @@ FaultPlan hostile_wire_plan() {
 
 RunReport run(StackKind stack, bool arm_hang_oracle) {
   HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = 99;
+  cfg.scenario.stack = stack;
+  cfg.scenario.seed = 99;
   cfg.plan = hostile_wire_plan();
   cfg.active = ms(600);
-  cfg.read_fraction = 0.5;  // plenty of reads to exercise the CRC oracle
+  // Plenty of reads to exercise the CRC oracle.
+  cfg.scenario.workload.read_fraction = 0.5;
   cfg.oracle.hang_oracle = arm_hang_oracle;
   return run_chaos(cfg);
 }

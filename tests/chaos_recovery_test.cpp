@@ -27,10 +27,11 @@ struct KindCase {
 
 HarnessConfig base_config() {
   HarnessConfig cfg;
-  cfg.stack = StackKind::kSolar;  // has FPGA, so every kind is injectable
-  cfg.seed = 404;
+  // SOLAR has an FPGA, so every kind is injectable.
+  cfg.scenario.stack = StackKind::kSolar;
+  cfg.scenario.seed = 404;
   cfg.active = ms(700);
-  cfg.poisson_iops = 1000.0;
+  cfg.scenario.workload.poisson_iops = 1000.0;
   cfg.readback_samples = 24;
   return cfg;
 }
@@ -112,10 +113,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 HarnessConfig ec_config() {
   HarnessConfig cfg = base_config();
-  cfg.seed = 405;
-  cfg.ec.enabled = true;
-  cfg.ec.k = 2;
-  cfg.ec.m = 1;  // pool of 4 storage nodes = k + m + 1: one spare
+  cfg.scenario.seed = 405;
+  cfg.scenario.ec.enabled = true;
+  cfg.scenario.ec.k = 2;
+  cfg.scenario.ec.m = 1;  // pool of 4 storage nodes = k + m + 1: one spare
   return cfg;
 }
 

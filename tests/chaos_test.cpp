@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "chaos/fault_plan.h"
 #include "chaos/harness.h"
@@ -326,10 +327,10 @@ TEST(Minimizer, DropsIrrelevantEventsAndShrinksDurations) {
 
 HarnessConfig quick_config(ebs::StackKind stack, std::uint64_t seed) {
   HarnessConfig cfg;
-  cfg.stack = stack;
-  cfg.seed = seed;
+  cfg.scenario.stack = stack;
+  cfg.scenario.seed = seed;
   cfg.active = ms(400);
-  cfg.poisson_iops = 800.0;
+  cfg.scenario.workload.poisson_iops = 800.0;
   cfg.readback_samples = 16;
   return cfg;
 }
@@ -344,6 +345,36 @@ TEST(Harness, CleanRunHasNoViolations) {
   EXPECT_GT(r.crc_checks, 0u);  // durability oracle actually exercised
   EXPECT_EQ(r.errors, 0u);
   EXPECT_EQ(r.hangs, 0u);
+}
+
+TEST(Harness, RefusesSpecsItCannotRun) {
+  const HarnessConfig good = quick_config(ebs::StackKind::kSolar, 11);
+  std::vector<HarnessConfig> bad(5, good);
+  bad[0].scenario.store_payload = false;
+  bad[1].scenario.workload.real_payload = false;
+  bad[2].scenario.workload.sequential = true;
+  bad[3].scenario.vds.resize(1);  // two compute nodes, one VD
+  bad[4].scenario.vds.resize(3);
+  for (const HarnessConfig& cfg : bad) {
+    const RunReport r = run_chaos(cfg);
+    ASSERT_EQ(r.violations.size(), 1u);
+    EXPECT_EQ(r.violations[0].oracle, "config");
+    EXPECT_EQ(r.executed, 0u);
+  }
+}
+
+TEST(Harness, DrivesEachVdWithinItsSize) {
+  // VDs far smaller than `vd_size_bytes`: the generators must address each
+  // node's own VD, or I/O lands past its end and errors out.
+  HarnessConfig cfg = quick_config(ebs::StackKind::kSolar, 11);
+  cfg.scenario.vds.resize(2);
+  cfg.scenario.vds[0].size_bytes = 4ull << 20;
+  cfg.scenario.vds[1].size_bytes = 8ull << 20;
+  const RunReport r = run_chaos(cfg);
+  EXPECT_TRUE(r.ok()) << r.violations.front().oracle << ": "
+                      << r.violations.front().detail;
+  EXPECT_GT(r.ios_completed, 0u);
+  EXPECT_EQ(r.errors, 0u);
 }
 
 TEST(Harness, ChaosRunIsBitReproducible) {

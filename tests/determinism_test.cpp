@@ -187,25 +187,25 @@ TEST(Determinism, ChaosSweepInstrumentedVsDarkAcrossSixteenSeeds) {
   std::uint64_t total_faults = 0;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     chaos::HarnessConfig cfg;
-    cfg.stack = stacks[seed % 4];
-    cfg.seed = seed * 7919;
+    cfg.scenario.stack = stacks[seed % 4];
+    cfg.scenario.seed = seed * 7919;
     cfg.active = ms(250);
-    cfg.poisson_iops = 900.0;
+    cfg.scenario.workload.poisson_iops = 900.0;
     cfg.readback_samples = 12;
 
     Rng plan_rng(seed);
     chaos::GeneratorConfig gc;
     gc.window = ms(200);
     chaos::TopologyShape shape;
-    shape.compute_nodes = cfg.compute_nodes;
-    shape.storage_nodes = cfg.storage_nodes;
+    shape.compute_nodes = cfg.scenario.compute_nodes;
+    shape.storage_nodes = cfg.scenario.storage_nodes;
     shape.compute_tors = 2;
     shape.storage_tors = 4;
     shape.compute_spines = 2;
     shape.storage_spines = 2;
     shape.cores = 2;
     shape.replica_ssds = 3;
-    shape.has_fpga = cfg.stack == ebs::StackKind::kSolar;
+    shape.has_fpga = cfg.scenario.stack == ebs::StackKind::kSolar;
     cfg.plan = chaos::generate_plan(plan_rng, gc, shape);
 
     const chaos::RunReport dark = chaos::run_chaos(cfg);
@@ -454,19 +454,19 @@ TEST(Determinism, OneShardScenarioMatchesPlainEngine) {
 // events, final clock — must not move with the thread count.
 TEST(Determinism, ShardedChaosSignatureThreadCountInvariant) {
   chaos::HarnessConfig cfg;
-  cfg.stack = ebs::StackKind::kSolar;
-  cfg.seed = 31337;
+  cfg.scenario.stack = ebs::StackKind::kSolar;
+  cfg.scenario.seed = 31337;
   cfg.active = ms(250);
-  cfg.poisson_iops = 900.0;
+  cfg.scenario.workload.poisson_iops = 900.0;
   cfg.readback_samples = 12;
-  cfg.shards = 2;
+  cfg.scenario.shards = 2;
 
   Rng plan_rng(7);
   chaos::GeneratorConfig gc;
   gc.window = ms(200);
   chaos::TopologyShape shape;
-  shape.compute_nodes = cfg.compute_nodes;
-  shape.storage_nodes = cfg.storage_nodes;
+  shape.compute_nodes = cfg.scenario.compute_nodes;
+  shape.storage_nodes = cfg.scenario.storage_nodes;
   shape.compute_tors = 2;
   shape.storage_tors = 4;
   shape.compute_spines = 2;
@@ -476,11 +476,11 @@ TEST(Determinism, ShardedChaosSignatureThreadCountInvariant) {
   shape.has_fpga = true;
   cfg.plan = chaos::generate_plan(plan_rng, gc, shape);
 
-  cfg.threads = 1;
+  cfg.scenario.threads = 1;
   const chaos::RunReport t1 = chaos::run_chaos(cfg);
-  cfg.threads = 2;
+  cfg.scenario.threads = 2;
   const chaos::RunReport t2 = chaos::run_chaos(cfg);
-  cfg.threads = 8;
+  cfg.scenario.threads = 8;
   const chaos::RunReport t8 = chaos::run_chaos(cfg);
 
   EXPECT_EQ(t1.signature(), t2.signature());

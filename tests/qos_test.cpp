@@ -280,6 +280,17 @@ TEST(QosDeterminism, BitIdenticalAcrossThreads) {
   }
 }
 
+// One `slo` VD per compute node, each the size of the spec's default VD.
+std::vector<ebs::VdSpec> slo_vds(const ebs::ScenarioSpec& spec,
+                                 const SloSpec& slo) {
+  ebs::VdSpec vd;
+  vd.size_bytes = spec.vd_size_bytes;
+  vd.has_slo = true;
+  vd.slo = slo;
+  return std::vector<ebs::VdSpec>(static_cast<std::size_t>(spec.compute_nodes),
+                                  vd);
+}
+
 // ---------------------------------------------------------------------------
 // Rejection storm under the chaos oracles: drive the harness far past
 // capacity with early rejection on. Rejections complete with kRejected,
@@ -288,20 +299,22 @@ TEST(QosDeterminism, BitIdenticalAcrossThreads) {
 
 TEST(QosChaos, RejectionStormKeepsOraclesGreen) {
   chaos::HarnessConfig cfg;
-  cfg.stack = ebs::StackKind::kSolar;
-  cfg.seed = 7;
-  cfg.poisson_iops = 30000.0;  // storm: ~10x one throttled core
+  cfg.scenario.stack = ebs::StackKind::kSolar;
+  cfg.scenario.seed = 7;
+  // Storm: ~10x one throttled core.
+  cfg.scenario.workload.poisson_iops = 30000.0;
   cfg.dpu_cpu_cores = 1;
   cfg.solar_cpu_per_rpc = us(100);
-  cfg.fio_max_ios = 100;
+  cfg.scenario.workload.max_ios = 100;
   cfg.active = ms(200);
-  cfg.qos.enabled = true;
-  cfg.qos.early_reject = true;
-  cfg.qos.sched_enabled = true;
-  cfg.qos.headroom = 0.8;
-  cfg.slo_all = true;
-  cfg.slo.target_p99 = ms(2);
-  cfg.slo.cls = SloClass::kBestEffort;
+  cfg.scenario.qos.enabled = true;
+  cfg.scenario.qos.early_reject = true;
+  cfg.scenario.qos.sched_enabled = true;
+  cfg.scenario.qos.headroom = 0.8;
+  SloSpec slo;
+  slo.target_p99 = ms(2);
+  slo.cls = SloClass::kBestEffort;
+  cfg.scenario.vds = slo_vds(cfg.scenario, slo);
 
   const chaos::RunReport report = chaos::run_chaos(cfg);
   EXPECT_TRUE(report.ok()) << report.violations.size() << " violations";
@@ -402,21 +415,22 @@ TEST(QosEc, RebuildTrafficServedBestEffort) {
 TEST(QosEc, RebuildStormDeterministicAcrossThreads) {
   auto config = [](int threads) {
     chaos::HarnessConfig cfg;
-    cfg.stack = ebs::StackKind::kSolar;
-    cfg.seed = 19;
+    cfg.scenario.stack = ebs::StackKind::kSolar;
+    cfg.scenario.seed = 19;
     cfg.active = ms(300);
-    cfg.fio_max_ios = 120;
-    cfg.poisson_iops = 800.0;
+    cfg.scenario.workload.max_ios = 120;
+    cfg.scenario.workload.poisson_iops = 800.0;
     cfg.readback_samples = 16;
-    cfg.ec.enabled = true;
-    cfg.ec.k = 2;
-    cfg.ec.m = 1;
-    cfg.qos.enabled = true;
-    cfg.qos.sched_enabled = true;
-    cfg.slo_all = true;
-    cfg.slo.cls = SloClass::kGuaranteed;
-    cfg.slo.target_p99 = ms(5);
-    cfg.slo.guaranteed_iops = 200.0;
+    cfg.scenario.ec.enabled = true;
+    cfg.scenario.ec.k = 2;
+    cfg.scenario.ec.m = 1;
+    cfg.scenario.qos.enabled = true;
+    cfg.scenario.qos.sched_enabled = true;
+    SloSpec slo;
+    slo.cls = SloClass::kGuaranteed;
+    slo.target_p99 = ms(5);
+    slo.guaranteed_iops = 200.0;
+    cfg.scenario.vds = slo_vds(cfg.scenario, slo);
     chaos::FaultEvent e;
     e.at = ms(50);
     e.duration = ms(150);
@@ -425,8 +439,8 @@ TEST(QosEc, RebuildStormDeterministicAcrossThreads) {
     e.target.index = 1;
     cfg.plan.name = "qos-ec-rebuild-storm";
     cfg.plan.events.push_back(e);
-    cfg.shards = 2;
-    cfg.threads = threads;
+    cfg.scenario.shards = 2;
+    cfg.scenario.threads = threads;
     return cfg;
   };
   const chaos::RunReport t1 = chaos::run_chaos(config(1));
@@ -441,19 +455,20 @@ TEST(QosEc, RebuildStormDeterministicAcrossThreads) {
 // A rejection-storm run is itself deterministic (same signature twice).
 TEST(QosChaos, RejectionStormDeterministic) {
   chaos::HarnessConfig cfg;
-  cfg.stack = ebs::StackKind::kSolar;
-  cfg.seed = 11;
-  cfg.poisson_iops = 20000.0;
+  cfg.scenario.stack = ebs::StackKind::kSolar;
+  cfg.scenario.seed = 11;
+  cfg.scenario.workload.poisson_iops = 20000.0;
   cfg.dpu_cpu_cores = 1;
   cfg.solar_cpu_per_rpc = us(100);
-  cfg.fio_max_ios = 50;
+  cfg.scenario.workload.max_ios = 50;
   cfg.active = ms(100);
-  cfg.qos.enabled = true;
-  cfg.qos.early_reject = true;
-  cfg.qos.headroom = 0.8;
-  cfg.slo_all = true;
-  cfg.slo.target_p99 = ms(2);
-  cfg.slo.cls = SloClass::kBestEffort;
+  cfg.scenario.qos.enabled = true;
+  cfg.scenario.qos.early_reject = true;
+  cfg.scenario.qos.headroom = 0.8;
+  SloSpec slo;
+  slo.target_p99 = ms(2);
+  slo.cls = SloClass::kBestEffort;
+  cfg.scenario.vds = slo_vds(cfg.scenario, slo);
 
   const chaos::RunReport a = chaos::run_chaos(cfg);
   const chaos::RunReport b = chaos::run_chaos(cfg);

@@ -4,6 +4,8 @@
 // bit-deterministic end-to-end, instrumented or dark, faults and all.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,7 +101,6 @@ ScenarioSpec full_spec() {
   spec.workload.real_payload = true;
   spec.workload.max_ios = 123;
   spec.workload.poisson_iops = 450.0;
-  spec.fault_plan_file = "plans/p1.json";
   spec.ec.enabled = true;
   spec.ec.k = 4;
   spec.ec.m = 2;
@@ -122,6 +123,23 @@ TEST(ScenarioSpec, JsonRoundTripPreservesEveryField) {
   EXPECT_FALSE(back.vds[0].has_qos);
   ASSERT_TRUE(back.vds[1].has_qos);
   EXPECT_EQ(back.vds[1].qos.iops_limit, 5000);
+}
+
+TEST(ScenarioSpec, LoadsFromFileAndNamesTheFileOnError) {
+  const std::string path = ::testing::TempDir() + "stack_test_spec.json";
+  const ScenarioSpec spec = full_spec();
+  {
+    std::ofstream f(path);
+    f << spec.to_json();
+  }
+  ScenarioSpec back;
+  std::string err;
+  ASSERT_TRUE(scenario_from_file(path, &back, &err)) << err;
+  EXPECT_EQ(spec.to_json(), back.to_json());
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(scenario_from_file(path, &back, &err));
+  EXPECT_NE(err.find(path), std::string::npos) << err;
 }
 
 TEST(ScenarioSpec, DefaultsSurviveRoundTrip) {
@@ -153,6 +171,11 @@ TEST(ScenarioSpec, RejectsUnrecognizedFieldsAtEveryLevel) {
   // Root level.
   EXPECT_FALSE(scenario_from_json(R"({"sede":7})", &out, &err));
   EXPECT_NE(err.find("sede"), std::string::npos) << err;
+  // A key nothing reads is unknown too: a spec cannot name a fault plan
+  // the run would then silently skip.
+  EXPECT_FALSE(scenario_from_json(R"({"fault_plan_file":"plans/p1.json"})",
+                                  &out, &err));
+  EXPECT_NE(err.find("fault_plan_file"), std::string::npos) << err;
   // Nested objects.
   EXPECT_FALSE(
       scenario_from_json(R"({"topology":{"comput":2}})", &out, &err));
@@ -291,11 +314,11 @@ TEST(HeterogeneousCluster, ObservabilityOnVsOffIsBitIdentical) {
 // actually land (the injector resolves them through the stack interface).
 TEST(HeterogeneousCluster, ChaosOnSingleNodeStackIsDeterministic) {
   chaos::HarnessConfig cfg;
-  cfg.stack = StackKind::kLuna;
-  cfg.compute_stacks = {StackKind::kLuna, StackKind::kSolar};
-  cfg.seed = 31337;
+  cfg.scenario.stack = StackKind::kLuna;
+  cfg.scenario.compute_stacks = {StackKind::kLuna, StackKind::kSolar};
+  cfg.scenario.seed = 31337;
   cfg.active = ms(300);
-  cfg.poisson_iops = 900.0;
+  cfg.scenario.workload.poisson_iops = 900.0;
   cfg.readback_samples = 8;
 
   chaos::FaultEvent stall;
