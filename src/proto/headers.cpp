@@ -77,40 +77,4 @@ std::optional<NvmeCommand> NvmeCommand::decode(ByteReader& r) {
   return c;
 }
 
-std::vector<std::uint8_t> encode_solar_packet(
-    const RpcHeader& rpc, const EbsHeader& ebs,
-    std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(RpcHeader::kWireSize + EbsHeader::kWireSize + payload.size());
-  ByteWriter w(out);
-  rpc.encode(w);
-  ebs.encode(w);
-  w.bytes(payload);
-  return out;
-}
-
-std::optional<SolarPacket> parse_solar_packet(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  auto rpc = RpcHeader::decode(r);
-  if (!rpc) return std::nullopt;
-  auto ebs = EbsHeader::decode(r);
-  if (!ebs) return std::nullopt;
-  SolarPacket pkt;
-  pkt.rpc = *rpc;
-  pkt.ebs = *ebs;
-  // Data-bearing packets must carry exactly block_len payload bytes;
-  // control packets (requests, ACKs, probes) carry none.
-  const bool data_bearing = rpc->msg_type == RpcMsgType::kWriteRequest ||
-                            rpc->msg_type == RpcMsgType::kReadResponse;
-  if (data_bearing) {
-    if (r.remaining() != ebs->block_len) return std::nullopt;
-    pkt.payload = r.bytes(ebs->block_len);
-  } else if (r.remaining() != 0) {
-    return std::nullopt;
-  }
-  if (!r.ok()) return std::nullopt;
-  return pkt;
-}
-
 }  // namespace repro::proto

@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "proto/wire.h"
 
@@ -88,26 +86,5 @@ struct NvmeCommand {
     return (static_cast<std::uint32_t>(nlb) + 1) * 512;
   }
 };
-
-/// A fully parsed SOLAR packet.
-struct SolarPacket {
-  RpcHeader rpc;
-  EbsHeader ebs;
-  std::vector<std::uint8_t> payload;
-
-  bool operator==(const SolarPacket&) const = default;
-};
-
-/// Encodes RPC HDR | EBS HDR | payload. The payload CRC must already be in
-/// ebs.payload_crc (the FPGA's CRC stage fills it on the real data path).
-std::vector<std::uint8_t> encode_solar_packet(const RpcHeader& rpc,
-                                              const EbsHeader& ebs,
-                                              std::span<const std::uint8_t>
-                                                  payload);
-
-/// Parses and validates structure (not the CRC — integrity checking is the
-/// receiver pipeline's job). Returns nullopt on truncation/garbage.
-std::optional<SolarPacket> parse_solar_packet(
-    std::span<const std::uint8_t> bytes);
 
 }  // namespace repro::proto

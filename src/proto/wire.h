@@ -1,9 +1,8 @@
 // Byte-level serialization helpers (little-endian, bounds-checked).
 //
-// The simulator mostly passes typed frames around, but SOLAR's claim in
-// §4.6 — that the whole SA data path can run in a P4 pipeline — only means
-// something against real bytes. These helpers define the wire formats the
-// P4 parser (src/p4) consumes and the tests round-trip.
+// The simulator passes typed frames around. These helpers define the byte
+// layout of the headers in proto/headers.h, whose kWireSize constants
+// solar/frame.h charges on every simulated frame; the tests round-trip it.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +32,9 @@ class ByteWriter {
   void append(const void* p, std::size_t n) {
     // Host is little-endian on every supported target; memcpy keeps the
     // encoding defined even for unaligned destinations.
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    out_.insert(out_.end(), b, b + n);
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, p, n);
   }
   std::vector<std::uint8_t>& out_;
 };

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/crc32.h"
-#include "common/rng.h"
 #include "proto/headers.h"
 #include "proto/wire.h"
 
@@ -157,95 +155,6 @@ TEST(NvmeCommand, EncodeDecodeRoundTripAndByteMath) {
   EXPECT_EQ(c.byte_offset(), 256u * 512);
   EXPECT_EQ(c.byte_len(), 4096u);
 }
-
-TEST(SolarPacket, WriteRequestRoundTrip) {
-  Rng rng(5);
-  std::vector<std::uint8_t> payload(kBlockSize);
-  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-
-  RpcHeader rpc;
-  rpc.rpc_id = 1;
-  rpc.msg_type = RpcMsgType::kWriteRequest;
-  EbsHeader ebs;
-  ebs.vd_id = 3;
-  ebs.payload_crc = crc32_raw(payload);
-
-  const auto bytes = encode_solar_packet(rpc, ebs, payload);
-  EXPECT_EQ(bytes.size(),
-            RpcHeader::kWireSize + EbsHeader::kWireSize + kBlockSize);
-
-  auto pkt = parse_solar_packet(bytes);
-  ASSERT_TRUE(pkt.has_value());
-  EXPECT_EQ(pkt->rpc, rpc);
-  EXPECT_EQ(pkt->ebs, ebs);
-  EXPECT_EQ(pkt->payload, payload);
-  EXPECT_EQ(crc32_raw(pkt->payload), pkt->ebs.payload_crc);
-}
-
-TEST(SolarPacket, ControlPacketsHaveNoPayload) {
-  RpcHeader rpc;
-  rpc.msg_type = RpcMsgType::kAck;
-  EbsHeader ebs;
-  const auto bytes = encode_solar_packet(rpc, ebs, {});
-  auto pkt = parse_solar_packet(bytes);
-  ASSERT_TRUE(pkt.has_value());
-  EXPECT_TRUE(pkt->payload.empty());
-
-  // An ACK with trailing junk is rejected.
-  auto bad = bytes;
-  bad.push_back(0);
-  EXPECT_FALSE(parse_solar_packet(bad).has_value());
-}
-
-TEST(SolarPacket, TruncationRejected) {
-  RpcHeader rpc;
-  rpc.msg_type = RpcMsgType::kWriteRequest;
-  EbsHeader ebs;
-  std::vector<std::uint8_t> payload(kBlockSize, 0xAA);
-  auto bytes = encode_solar_packet(rpc, ebs, payload);
-  for (std::size_t cut :
-       {std::size_t{0}, std::size_t{5}, RpcHeader::kWireSize,
-        RpcHeader::kWireSize + EbsHeader::kWireSize - 1, bytes.size() - 1}) {
-    auto t = bytes;
-    t.resize(cut);
-    EXPECT_FALSE(parse_solar_packet(t).has_value()) << "cut=" << cut;
-  }
-}
-
-TEST(SolarPacket, PayloadLengthMustMatchHeader) {
-  RpcHeader rpc;
-  rpc.msg_type = RpcMsgType::kWriteRequest;
-  EbsHeader ebs;
-  ebs.block_len = kBlockSize;
-  std::vector<std::uint8_t> payload(kBlockSize - 1, 0x11);
-  auto bytes = encode_solar_packet(rpc, ebs, payload);
-  EXPECT_FALSE(parse_solar_packet(bytes).has_value());
-}
-
-// Parser fuzz-ish property: random byte strings never crash the parser and
-// never produce a data-bearing packet with mismatched payload length.
-class SolarParserFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(SolarParserFuzz, RandomBytesAreSafe) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
-  for (int i = 0; i < 500; ++i) {
-    std::vector<std::uint8_t> junk(rng.next_below(5000));
-    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
-    auto pkt = parse_solar_packet(junk);
-    if (pkt.has_value()) {
-      const bool data_bearing =
-          pkt->rpc.msg_type == RpcMsgType::kWriteRequest ||
-          pkt->rpc.msg_type == RpcMsgType::kReadResponse;
-      if (data_bearing) {
-        EXPECT_EQ(pkt->payload.size(), pkt->ebs.block_len);
-      } else {
-        EXPECT_TRUE(pkt->payload.empty());
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SolarParserFuzz, ::testing::Range(1, 6));
 
 }  // namespace
 }  // namespace repro::proto

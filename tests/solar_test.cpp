@@ -308,6 +308,27 @@ TEST(Solar, PreCrcBitflipRepairedEndToEnd) {
   }
 }
 
+// A bit flipped on the inbound path before the CRC engine must be caught by
+// the per-block hardware check and re-read, not left for aggregation.
+TEST(Solar, ReadPathBitflipRejectedPerBlockAndReRead) {
+  SolarFixture f;
+  Rng rng(16);
+  auto wio = f.write_io(0, 16384, rng);
+  auto expected = wio.payload;
+  ASSERT_EQ(f.run_io(std::move(wio)).status, StorageStatus::kOk);
+
+  f.dpu->fpga().params().faults.data_bitflip_rate = 0.5;
+  const auto agg_before = f.client->stats().agg_check_failures;
+  auto rres = f.run_io(f.read_io(0, 16384));
+  ASSERT_EQ(rres.status, StorageStatus::kOk);
+  ASSERT_EQ(rres.read_data.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(rres.read_data[i].data, expected[i].data) << i;
+  }
+  EXPECT_GT(f.client->stats().read_hw_crc_rejects, 0u);
+  EXPECT_EQ(f.client->stats().agg_check_failures, agg_before);
+}
+
 TEST(Solar, WithoutAggregationCheckCorruptionSlipsThrough) {
   dpu::FpgaFaults faults;
   faults.pre_crc_bitflip_rate = 1.0;  // corrupt every block, consistently
